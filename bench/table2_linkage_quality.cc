@@ -8,10 +8,10 @@
 //        paper's 72 h cap; default 30),
 //        --memory-limit-mb (the scaled stand-in for the 200 GB cap;
 //        default 64), --seed,
-//        --checkpoint=<path.jsonl> (crash-safe restartability: every
-//        completed (method, scenario, classifier) cell is journaled;
-//        re-running with the same flags skips completed cells and
-//        reproduces the identical table),
+//        --checkpoint=<path> (crash-safe restartability: every
+//        completed (method, scenario, classifier) cell is journaled
+//        by an fsync'd append; re-running with the same flags skips
+//        completed cells and reproduces the identical table),
 //        --threads=N (worker lanes; default hardware width; the table
 //        is byte-identical for every value),
 //        --warm-start=<dir> (existing directory for per-cell model

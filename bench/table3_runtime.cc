@@ -6,8 +6,9 @@
 //
 // Flags: --scale (default 0.015), --time-limit (default 30 s/run),
 //        --memory-limit-mb (default 64), --seed,
-//        --checkpoint=<path.jsonl> (journal completed cells; a re-run
-//        resumes, reusing journaled runtimes for completed cells),
+//        --checkpoint=<path> (journal completed cells by an fsync'd
+//        append; a re-run resumes, reusing journaled runtimes for
+//        completed cells),
 //        --threads=N (worker lanes; default hardware width),
 //        --skip-speedup (omit the single-threaded reference run),
 //        --warm-start=<dir> (existing directory for per-cell model

@@ -1,11 +1,7 @@
 #include "core/experiment.h"
 
-#include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <optional>
-#include <thread>
-#include <unordered_map>
 
 #include "core/transer.h"
 #include "transfer/coral.h"
@@ -68,11 +64,6 @@ struct SweepGroup {
   size_t method_index = 0;
 };
 
-std::string SnapshotKey(const SweepCellKey& key) {
-  // '\x1f' (unit separator) cannot appear in the component names.
-  return key.method + '\x1f' + key.scenario + '\x1f' + key.classifier;
-}
-
 /// Filesystem-safe rendering of a cell key for its model snapshot file.
 std::string SnapshotFileName(const SweepCellKey& key) {
   std::string name = key.method + "_" + key.scenario + "_" + key.classifier;
@@ -103,61 +94,23 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
   // per-run semantics (each Run resolves its own context from them).
   const ExecutionContext* sweep_context = options.base_options.context;
 
-  // Workers read completed cells from this immutable snapshot, never from
-  // the live checkpoint (the writer thread mutates it concurrently). No
-  // cell runs twice within one sweep, so the journal content at open time
-  // is all a worker ever needs to see.
-  std::unordered_map<std::string, SweepCellRecord> snapshot;
-  if (checkpoint.has_value()) {
-    snapshot.reserve(checkpoint->size());
-    for (const SweepCellRecord& record : checkpoint->records()) {
-      snapshot.emplace(SnapshotKey(record.key), record);
-    }
-  }
-
-  // All journal writes funnel through one writer thread: workers enqueue
-  // completed SweepCellRecords and the writer alone calls Record(), so
-  // the JSONL rewrite-and-rename protocol never races with itself.
+  // Workers share the checkpoint through one mutex: a lookup copies the
+  // record out under it, and Record (append + fsync) runs under it, so
+  // frames never interleave.
   std::mutex journal_mutex;
-  std::condition_variable journal_cv;
-  std::deque<SweepCellRecord> journal_queue;
-  bool journal_done = false;
-  Status journal_status;  // guarded by journal_mutex
-  std::thread journal_writer;
-  if (checkpoint.has_value()) {
-    journal_writer = std::thread([&] {
-      std::unique_lock<std::mutex> lock(journal_mutex);
-      for (;;) {
-        journal_cv.wait(lock,
-                        [&] { return journal_done || !journal_queue.empty(); });
-        if (journal_queue.empty()) return;  // done and drained
-        SweepCellRecord record = std::move(journal_queue.front());
-        journal_queue.pop_front();
-        lock.unlock();
-        Status recorded = checkpoint->Record(record);
-        lock.lock();
-        if (!recorded.ok() && journal_status.ok()) {
-          journal_status = std::move(recorded);
-        }
-      }
-    });
-  }
-  auto journal = [&](SweepCellRecord record) {
-    if (!checkpoint.has_value()) return;
-    {
-      std::lock_guard<std::mutex> lock(journal_mutex);
-      journal_queue.push_back(std::move(record));
+  auto journaled = [&](const SweepCellKey& key) {
+    std::optional<SweepCellRecord> found;
+    if (!checkpoint.has_value()) return found;
+    std::lock_guard<std::mutex> lock(journal_mutex);
+    if (const SweepCellRecord* record = checkpoint->Find(key)) {
+      found = *record;
     }
-    journal_cv.notify_one();
+    return found;
   };
-  auto finish_journal = [&] {
-    if (!journal_writer.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(journal_mutex);
-      journal_done = true;
-    }
-    journal_cv.notify_one();
-    journal_writer.join();
+  auto journal = [&](const SweepCellRecord& record) {
+    if (!checkpoint.has_value()) return Status::OK();
+    std::lock_guard<std::mutex> lock(journal_mutex);
+    return checkpoint->Record(record);
   };
 
   // Grid in scenario-major, method-minor order — the result order and,
@@ -200,10 +153,8 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
       const uint64_t cell_seed = options.base_options.seed + 1000 * run_index;
       ++run_index;
       const SweepCellKey key{method.name(), scenario.name, family.name};
-      auto found = snapshot.find(SnapshotKey(key));
-      const SweepCellRecord* existing =
-          found == snapshot.end() ? nullptr : &found->second;
-      if (existing != nullptr && existing->seed != cell_seed) {
+      const std::optional<SweepCellRecord> existing = journaled(key);
+      if (existing.has_value() && existing->seed != cell_seed) {
         return Status::FailedPrecondition(StrFormat(
             "sweep checkpoint %s holds cell %s/%s/%s at seed %llu but "
             "this sweep would run it at seed %llu; the journal belongs "
@@ -213,7 +164,7 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
             static_cast<unsigned long long>(existing->seed),
             static_cast<unsigned long long>(cell_seed)));
       }
-      if (existing != nullptr) {
+      if (existing.has_value()) {
         if (existing->failure.empty()) {
           // Completed cell: reuse the journaled result verbatim.
           result.per_classifier.push_back(existing->quality);
@@ -262,14 +213,14 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
         }
         record.failure = FailureShorthand(predicted.status());
         result.failure = record.failure;
-        journal(std::move(record));
+        TRANSER_RETURN_IF_ERROR(journal(record));
         break;  // the next classifier would fail the same way
       }
       record.quality = EvaluateLinkage(truth, predicted.value());
       result.per_classifier.push_back(record.quality);
       result.total_runtime_seconds += record.runtime_seconds;
       ++result.completed_runs;
-      journal(std::move(record));
+      TRANSER_RETURN_IF_ERROR(journal(record));
     }
     result.quality = AggregateQuality(result.per_classifier);
     results[g] = std::move(result);
@@ -300,8 +251,6 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
       },
       par);
 
-  finish_journal();
-
   // Merge group-local diagnostics in grid order — identical event order
   // at any thread count, and on error the groups that did run still
   // surface their events, as the serial sweep did.
@@ -315,7 +264,6 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
   }
 
   TRANSER_RETURN_IF_ERROR(swept);
-  TRANSER_RETURN_IF_ERROR(journal_status);
   if (checkpoint.has_value()) {
     // Journal order is completion order, which parallel scheduling makes
     // nondeterministic; canonicalise so the finished journal is the same

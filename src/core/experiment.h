@@ -47,8 +47,8 @@ std::vector<std::unique_ptr<TransferMethod>> DefaultMethodLineup();
 
 /// \brief Controls for a (checkpointed) experiment sweep.
 struct SweepOptions {
-  /// JSONL journal path. Empty disables checkpointing (the sweep then
-  /// behaves exactly like looping RunMethodOnScenario).
+  /// SweepCheckpoint journal path. Empty disables checkpointing (the
+  /// sweep then behaves exactly like looping RunMethodOnScenario).
   std::string checkpoint_path;
   /// Per-cell run options: `seed` is the sweep base seed (each cell runs
   /// at seed + 1000 * classifier_index, as RunMethodOnScenario does);

@@ -1,140 +1,62 @@
 #include "core/sweep_checkpoint.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <tuple>
+#include <utility>
 
-#include "util/journal_io.h"
+#include "util/artifact_io.h"
 #include "util/string_util.h"
 
 namespace transer {
 
 namespace {
 
-/// Escapes the characters that would break a one-line JSON string.
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
+/// FrameJournal flavour magic of a sweep checkpoint.
+constexpr char kCheckpointMagic[4] = {'T', 'S', 'C', 'K'};
 
-/// Minimal field extraction for the flat one-line objects this journal
-/// writes: finds `"name":` and returns the raw value token (unescaped
-/// for strings). Not a general JSON parser — it only needs to read what
-/// EncodeSweepCellRecord produces, and any deviation is malformation.
-bool ExtractRaw(const std::string& line, const std::string& name,
-                std::string* out) {
-  const std::string needle = "\"" + name + "\":";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  size_t pos = at + needle.size();
-  if (pos >= line.size()) return false;
-  if (line[pos] == '"') {
-    ++pos;
-    std::string value;
-    while (pos < line.size() && line[pos] != '"') {
-      if (line[pos] == '\\') {
-        ++pos;
-        if (pos >= line.size()) return false;
-        switch (line[pos]) {
-          case 'n':
-            value += '\n';
-            break;
-          case 'r':
-            value += '\r';
-            break;
-          case 't':
-            value += '\t';
-            break;
-          default:
-            value += line[pos];
-        }
-      } else {
-        value += line[pos];
-      }
-      ++pos;
-    }
-    if (pos >= line.size()) return false;  // unterminated string
-    *out = std::move(value);
-    return true;
-  }
-  const size_t end = line.find_first_of(",}", pos);
-  if (end == std::string::npos || end == pos) return false;
-  *out = line.substr(pos, end - pos);
-  return true;
-}
-
-bool ExtractDouble(const std::string& line, const std::string& name,
-                   double* out) {
-  std::string raw;
-  return ExtractRaw(line, name, &raw) && ParseDouble(raw, out);
-}
+/// Payload version inside a frame, so the record layout can evolve
+/// independently of the framing.
+constexpr uint8_t kRecordVersion = 1;
 
 }  // namespace
 
-std::string EncodeSweepCellRecord(const SweepCellRecord& record) {
-  // %.17g round-trips every finite double exactly, so a resumed sweep
-  // aggregates bit-identical values.
-  return StrFormat(
-      "{\"method\":\"%s\",\"scenario\":\"%s\",\"classifier\":\"%s\","
-      "\"seed\":%llu,\"failure\":\"%s\",\"precision\":%.17g,"
-      "\"recall\":%.17g,\"f1\":%.17g,\"f_star\":%.17g,"
-      "\"runtime_seconds\":%.17g}",
-      JsonEscape(record.key.method).c_str(),
-      JsonEscape(record.key.scenario).c_str(),
-      JsonEscape(record.key.classifier).c_str(),
-      static_cast<unsigned long long>(record.seed),
-      JsonEscape(record.failure).c_str(), record.quality.precision,
-      record.quality.recall, record.quality.f1, record.quality.f_star,
-      record.runtime_seconds);
+std::vector<uint8_t> EncodeSweepCellRecord(const SweepCellRecord& record) {
+  artifact::Encoder encoder;
+  encoder.PutU8(kRecordVersion);
+  encoder.PutString(record.key.method);
+  encoder.PutString(record.key.scenario);
+  encoder.PutString(record.key.classifier);
+  encoder.PutU64(record.seed);
+  encoder.PutString(record.failure);
+  encoder.PutDouble(record.quality.precision);
+  encoder.PutDouble(record.quality.recall);
+  encoder.PutDouble(record.quality.f1);
+  encoder.PutDouble(record.quality.f_star);
+  encoder.PutDouble(record.runtime_seconds);
+  return encoder.TakeBytes();
 }
 
-Result<SweepCellRecord> DecodeSweepCellRecord(const std::string& line) {
-  const std::string trimmed = Trim(line);
-  if (trimmed.empty() || trimmed.front() != '{' || trimmed.back() != '}') {
-    return Status::InvalidArgument("not a JSON object line");
+Result<SweepCellRecord> DecodeSweepCellRecord(
+    std::span<const uint8_t> payload) {
+  artifact::Decoder decoder(payload);
+  uint8_t version = 0;
+  TRANSER_RETURN_IF_ERROR(decoder.GetU8(&version));
+  if (version != kRecordVersion) {
+    return Status::InvalidArgument(
+        StrFormat("unsupported sweep cell record version %u", version));
   }
   SweepCellRecord record;
-  std::string seed_raw;
-  int64_t seed = 0;
-  if (!ExtractRaw(trimmed, "method", &record.key.method) ||
-      !ExtractRaw(trimmed, "scenario", &record.key.scenario) ||
-      !ExtractRaw(trimmed, "classifier", &record.key.classifier) ||
-      !ExtractRaw(trimmed, "seed", &seed_raw) ||
-      !ParseInt64(seed_raw, &seed) ||
-      !ExtractRaw(trimmed, "failure", &record.failure) ||
-      !ExtractDouble(trimmed, "precision", &record.quality.precision) ||
-      !ExtractDouble(trimmed, "recall", &record.quality.recall) ||
-      !ExtractDouble(trimmed, "f1", &record.quality.f1) ||
-      !ExtractDouble(trimmed, "f_star", &record.quality.f_star) ||
-      !ExtractDouble(trimmed, "runtime_seconds",
-                     &record.runtime_seconds)) {
-    return Status::InvalidArgument("malformed sweep checkpoint line");
-  }
-  record.seed = static_cast<uint64_t>(seed);
+  TRANSER_RETURN_IF_ERROR(decoder.GetString(&record.key.method));
+  TRANSER_RETURN_IF_ERROR(decoder.GetString(&record.key.scenario));
+  TRANSER_RETURN_IF_ERROR(decoder.GetString(&record.key.classifier));
+  TRANSER_RETURN_IF_ERROR(decoder.GetU64(&record.seed));
+  TRANSER_RETURN_IF_ERROR(decoder.GetString(&record.failure));
+  TRANSER_RETURN_IF_ERROR(decoder.GetDouble(&record.quality.precision));
+  TRANSER_RETURN_IF_ERROR(decoder.GetDouble(&record.quality.recall));
+  TRANSER_RETURN_IF_ERROR(decoder.GetDouble(&record.quality.f1));
+  TRANSER_RETURN_IF_ERROR(decoder.GetDouble(&record.quality.f_star));
+  TRANSER_RETURN_IF_ERROR(decoder.GetDouble(&record.runtime_seconds));
+  TRANSER_RETURN_IF_ERROR(decoder.ExpectEnd());
   return record;
 }
 
@@ -148,41 +70,31 @@ Result<SweepCheckpoint> SweepCheckpoint::Open(const std::string& path,
   if (path.empty()) {
     return Status::InvalidArgument("sweep checkpoint path is empty");
   }
-  SweepCheckpoint checkpoint(path);
-
-  // The torn-tail policy (only the trailing line may be corrupt; earlier
-  // damage is an error) lives in the shared journal recovery helper so
-  // this journal and the binary ingest WAL cannot drift apart.
+  // Torn-tail truncation and mid-file refusal are FrameJournal's, the
+  // policy the ingest WAL shares.
+  SweepCheckpoint checkpoint;
+  journal::FrameRecovery recovery;
   TRANSER_ASSIGN_OR_RETURN(
-      const journal::LineRecovery recovery,
-      journal::RecoverJournalLines(path, [](const std::string& entry) {
-        return DecodeSweepCellRecord(entry).status();
-      }));
-
-  for (const std::string& entry : recovery.lines) {
-    TRANSER_ASSIGN_OR_RETURN(SweepCellRecord record,
-                             DecodeSweepCellRecord(entry));
-    const std::string index_key = IndexKey(record.key);
-    auto it = checkpoint.index_.find(index_key);
-    if (it != checkpoint.index_.end()) {
-      checkpoint.records_[it->second] = std::move(record);
-    } else {
-      checkpoint.index_[index_key] = checkpoint.records_.size();
-      checkpoint.records_.push_back(std::move(record));
+      checkpoint.journal_,
+      journal::FrameJournal::Open(path, kCheckpointMagic, &recovery));
+  for (size_t i = 0; i < recovery.frames.size(); ++i) {
+    auto record = DecodeSweepCellRecord(recovery.frames[i]);
+    if (!record.ok()) {
+      // The frame CRC passed, so this is not bit rot: the payload layout
+      // itself is wrong. That is never a torn tail — refuse.
+      return Status::FailedPrecondition(StrFormat(
+          "%s: frame %zu is not a sweep cell record: %s", path.c_str(),
+          i + 1, record.status().message().c_str()));
     }
+    checkpoint.Apply(std::move(record).value());
   }
-
-  if (recovery.tail_dropped) {
-    if (diagnostics != nullptr) {
-      diagnostics->Add(DegradationKind::kCheckpointTailDropped, "sweep",
-                       StrFormat("dropped corrupt trailing journal line "
-                                 "%zu of %s; the cell will be re-run",
-                                 recovery.total_lines, path.c_str()),
-                       static_cast<double>(recovery.total_lines),
-                       static_cast<double>(recovery.total_lines - 1));
-    }
-    // Persist the truncation so a second resume does not re-report it.
-    TRANSER_RETURN_IF_ERROR(checkpoint.Flush());
+  if (recovery.tail_dropped && diagnostics != nullptr) {
+    diagnostics->Add(DegradationKind::kCheckpointTailDropped, "sweep",
+                     StrFormat("truncated %zu torn byte(s) after frame %zu "
+                               "of %s; the cell will be re-run",
+                               recovery.dropped_bytes,
+                               recovery.frames.size(), path.c_str()),
+                     0.0, static_cast<double>(recovery.dropped_bytes));
   }
   return checkpoint;
 }
@@ -192,25 +104,21 @@ const SweepCellRecord* SweepCheckpoint::Find(const SweepCellKey& key) const {
   return it == index_.end() ? nullptr : &records_[it->second];
 }
 
-Status SweepCheckpoint::Record(const SweepCellRecord& record) {
-  const std::string index_key = IndexKey(record.key);
-  auto it = index_.find(index_key);
-  const size_t previous_size = records_.size();
-  if (it != index_.end()) {
-    records_[it->second] = record;
+void SweepCheckpoint::Apply(SweepCellRecord record) {
+  const auto [it, inserted] =
+      index_.try_emplace(IndexKey(record.key), records_.size());
+  if (inserted) {
+    records_.push_back(std::move(record));
   } else {
-    index_[index_key] = records_.size();
-    records_.push_back(record);
+    records_[it->second] = std::move(record);
   }
-  Status flushed = Flush();
-  if (!flushed.ok()) {
-    // Keep the in-memory view consistent with the journal on disk.
-    if (it == index_.end()) {
-      records_.resize(previous_size);
-      index_.erase(index_key);
-    }
-    return flushed;
-  }
+}
+
+Status SweepCheckpoint::Record(const SweepCellRecord& record) {
+  // Durable before visible: the in-memory view only holds journaled
+  // cells, so a failed append leaves nothing to roll back.
+  TRANSER_RETURN_IF_ERROR(journal_.Append(EncodeSweepCellRecord(record)));
+  Apply(record);
   return Status::OK();
 }
 
@@ -223,36 +131,22 @@ Status SweepCheckpoint::Canonicalize() {
                               b.key.classifier);
             });
   index_.clear();
+  std::vector<std::vector<uint8_t>> frames;
+  frames.reserve(records_.size());
   for (size_t i = 0; i < records_.size(); ++i) {
     index_[IndexKey(records_[i].key)] = i;
+    frames.push_back(EncodeSweepCellRecord(records_[i]));
   }
-  return Flush();
-}
-
-Status SweepCheckpoint::Flush() const {
-  // Write the full journal to a sibling temp file and rename it into
-  // place: POSIX rename is atomic, so readers (including a resume after a
-  // crash right here) see either the old journal or the new one, never a
-  // partial write.
-  const std::string temp_path = path_ + ".tmp";
-  {
-    std::ofstream out(temp_path, std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::Internal("cannot open " + temp_path + " for writing");
-    }
-    for (const SweepCellRecord& record : records_) {
-      out << EncodeSweepCellRecord(record) << '\n';
-    }
-    out.flush();
-    if (!out.good()) {
-      return Status::Internal("failed writing " + temp_path);
-    }
-  }
-  if (std::rename(temp_path.c_str(), path_.c_str()) != 0) {
-    return Status::Internal("failed renaming " + temp_path + " over " +
-                            path_);
-  }
-  return Status::OK();
+  // Rewrite publishes the old journal or the new one, never a mix;
+  // reopen either way so Record keeps appending to whichever is in
+  // place.
+  const std::string path = journal_.path();
+  journal_.Close();
+  const Status rewritten =
+      journal::FrameJournal::Rewrite(path, kCheckpointMagic, frames);
+  TRANSER_ASSIGN_OR_RETURN(journal_,
+                           journal::FrameJournal::Open(path, kCheckpointMagic));
+  return rewritten;
 }
 
 }  // namespace transer

@@ -2,12 +2,14 @@
 #define TRANSER_CORE_SWEEP_CHECKPOINT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "eval/metrics.h"
 #include "util/diagnostics.h"
+#include "util/journal_io.h"
 #include "util/status.h"
 
 namespace transer {
@@ -40,58 +42,67 @@ struct SweepCellRecord {
   double runtime_seconds = 0.0;
 };
 
-/// Serialises a record as one JSON line. Doubles use %.17g so decoding
+/// Serialises a record as one journal frame payload (artifact::Encoder
+/// layout). Doubles are stored as their IEEE-754 bits, so decoding
 /// round-trips them exactly.
-std::string EncodeSweepCellRecord(const SweepCellRecord& record);
+std::vector<uint8_t> EncodeSweepCellRecord(const SweepCellRecord& record);
 
-/// Parses one journal line. Returns InvalidArgument on any malformation
-/// (the caller treats that as a torn tail write and truncates).
-Result<SweepCellRecord> DecodeSweepCellRecord(const std::string& line);
+/// Parses one frame payload. InvalidArgument on any malformation.
+Result<SweepCellRecord> DecodeSweepCellRecord(
+    std::span<const uint8_t> payload);
 
-/// \brief Append-only JSONL journal of completed sweep cells, giving
+/// \brief Append-only journal of completed sweep cells, giving
 /// experiment sweeps crash-safe restartability.
 ///
-/// Durability model: every Record() rewrites the journal to a temp file in
-/// the same directory and renames it over the old one, so the journal on
-/// disk is always a complete, well-formed prefix of the sweep — a crash
-/// mid-write can at worst leave a torn *trailing* line, which Open()
-/// drops (reporting kCheckpointTailDropped) and the sweep re-runs.
+/// A client of journal::FrameJournal (DESIGN.md §11): every Record()
+/// appends one CRC-framed cell and fsyncs it before returning, so an
+/// acknowledged cell survives SIGKILL and power loss. A crash mid-append
+/// can at worst leave a torn trailing frame, which Open() truncates
+/// (reporting kCheckpointTailDropped) and the sweep re-runs.
+///
+/// Not thread-safe: concurrent writers serialise Record() themselves.
 class SweepCheckpoint {
  public:
   /// Loads the journal at `path`, creating an empty one if absent. A
-  /// corrupt trailing line is tolerated: the journal is truncated to the
-  /// last well-formed record and the drop is recorded in `diagnostics`.
-  /// Corruption *before* the tail (more than one bad line) fails instead
-  /// of silently discarding completed work.
+  /// torn trailing frame is truncated away and the drop is recorded in
+  /// `diagnostics`. Damage *before* the tail fails with
+  /// FailedPrecondition instead of silently discarding completed work;
+  /// a file that is not a sweep checkpoint — including the JSON-lines
+  /// checkpoints of older builds — fails with InvalidArgument and is
+  /// left untouched.
   static Result<SweepCheckpoint> Open(const std::string& path,
                                       RunDiagnostics* diagnostics = nullptr);
 
   /// Latest record for `key`, or nullptr if the cell has not completed.
   const SweepCellRecord* Find(const SweepCellKey& key) const;
 
-  /// Journals `record` durably (write-temp-then-rename) before returning.
+  /// Journals `record` durably (append + fsync) before returning.
   /// Re-recording a key (a retried cell) supersedes the earlier entry.
+  /// On failure nothing changes: the cell is neither in memory nor
+  /// acknowledged on disk.
   Status Record(const SweepCellRecord& record);
 
   /// Rewrites the journal in canonical (scenario, method, classifier)
-  /// name order. A parallel sweep journals cells in completion order,
-  /// which depends on scheduling; canonicalising at the end of a
-  /// completed sweep makes the final journal independent of how many
-  /// threads ran it (runtime_seconds fields aside).
+  /// name order, dropping superseded entries. A parallel sweep journals
+  /// cells in completion order, which depends on scheduling;
+  /// canonicalising at the end of a completed sweep makes the final
+  /// journal independent of how many threads ran it (runtime_seconds
+  /// fields aside).
   Status Canonicalize();
 
   size_t size() const { return records_.size(); }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return journal_.path(); }
   const std::vector<SweepCellRecord>& records() const { return records_; }
 
  private:
-  explicit SweepCheckpoint(std::string path) : path_(std::move(path)) {}
+  SweepCheckpoint() = default;
 
-  Status Flush() const;  ///< atomic rewrite of the whole journal
+  /// Inserts `record`, superseding any earlier record for its key.
+  void Apply(SweepCellRecord record);
 
   static std::string IndexKey(const SweepCellKey& key);
 
-  std::string path_;
+  journal::FrameJournal journal_;
   std::vector<SweepCellRecord> records_;
   std::unordered_map<std::string, size_t> index_;  ///< IndexKey -> records_
 };

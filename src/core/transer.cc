@@ -259,15 +259,7 @@ Result<std::vector<int>> TransER::RunWithReport(
   // Domain profile: the per-feature target mean, stored in the snapshot
   // so the serving repository can run its SEL-style similarity probe
   // against incoming domains without the training data.
-  std::vector<double> target_centroid(x_target.cols(), 0.0);
-  if (x_target.rows() > 0) {
-    for (size_t r = 0; r < x_target.rows(); ++r) {
-      const double* row = x_target.Row(r);
-      for (size_t c = 0; c < x_target.cols(); ++c) target_centroid[c] += row[c];
-    }
-    const double inv = 1.0 / static_cast<double>(x_target.rows());
-    for (double& value : target_centroid) value *= inv;
-  }
+  const std::vector<double> target_centroid = ColumnMeans(x_target);
   snap.target_centroid = target_centroid;
   // Persists the current state atomically; a failed write degrades (the
   // run's answer is unaffected) rather than failing the run.

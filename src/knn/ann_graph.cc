@@ -367,16 +367,6 @@ std::vector<Neighbour> AnnGraph::Query(std::span<const double> query,
   return out;
 }
 
-Result<std::vector<Neighbour>> AnnGraph::Query(
-    std::span<const double> query, size_t k, ptrdiff_t skip_index,
-    const ExecutionContext& context, const std::string& scope) const {
-  // One graph query touches O(ef · M) rows — far below the exact scan
-  // this replaces — so a single poll before the search bounds the
-  // overshoot past a deadline to less than one exact query's work.
-  TRANSER_RETURN_IF_ERROR(context.Check(scope));
-  return Query(query, k, skip_index);
-}
-
 Result<std::vector<std::vector<Neighbour>>> AnnGraph::QueryBatch(
     const Matrix& queries, size_t k, const ExecutionContext& context,
     const std::string& scope, const ParallelOptions& options,

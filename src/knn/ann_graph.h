@@ -69,11 +69,6 @@ class AnnGraph : public KnnBackend {
   std::vector<Neighbour> Query(std::span<const double> query, size_t k,
                                ptrdiff_t skip_index = -1) const override;
 
-  Result<std::vector<Neighbour>> Query(
-      std::span<const double> query, size_t k, ptrdiff_t skip_index,
-      const ExecutionContext& context,
-      const std::string& scope = "ann_graph") const override;
-
   Result<std::vector<std::vector<Neighbour>>> QueryBatch(
       const Matrix& queries, size_t k, const ExecutionContext& context,
       const std::string& scope = "ann_graph",

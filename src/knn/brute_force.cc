@@ -91,32 +91,6 @@ Result<BruteForceKnn> BruteForceKnn::Create(const Matrix& points,
   return knn;
 }
 
-Result<std::vector<Neighbour>> BruteForceKnn::Query(
-    std::span<const double> query, size_t k, ptrdiff_t skip_index,
-    const ExecutionContext& context, const std::string& scope) const {
-  TRANSER_CHECK_EQ(query.size(), points_.cols());
-  if (k == 0) {
-    TRANSER_RETURN_IF_ERROR(context.Check(scope));
-    return std::vector<Neighbour>{};
-  }
-  ScanScratch& scratch = tls_scan;
-  scratch.dist.resize(kPointBlock);
-  std::vector<Neighbour>& heap = scratch.heaps[0];
-  heap.clear();
-  heap.reserve(k + 1);
-  const double query_norm = kernels::SquaredNorm(query);
-  // Poll the context between kernel blocks so a deadline expiry or
-  // cancellation surfaces within one block's worth of work.
-  constexpr size_t kScanStride = 16 * kPointBlock;
-  for (size_t begin = 0; begin < points_.rows(); begin += kScanStride) {
-    TRANSER_RETURN_IF_ERROR(context.Check(scope));
-    const size_t end = std::min(points_.rows(), begin + kScanStride);
-    ScanBlocks(points_, norms_, query, query_norm, begin, end, k, skip_index,
-               &scratch.dist, &heap);
-  }
-  return SortedHeap(&heap);
-}
-
 Result<std::vector<std::vector<Neighbour>>> BruteForceKnn::QueryBatch(
     const Matrix& queries, size_t k, const ExecutionContext& context,
     const std::string& scope, const ParallelOptions& options,

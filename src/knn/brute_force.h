@@ -37,14 +37,6 @@ class BruteForceKnn : public KnnBackend {
   std::vector<Neighbour> Query(std::span<const double> query, size_t k,
                                ptrdiff_t skip_index = -1) const override;
 
-  /// Context-observing query: the O(n) scan is chunked so a mid-scan
-  /// deadline expiry or cancellation returns its status promptly.
-  Result<std::vector<Neighbour>> Query(std::span<const double> query,
-                                       size_t k, ptrdiff_t skip_index,
-                                       const ExecutionContext& context,
-                                       const std::string& scope = "brute_knn")
-      const override;
-
   /// Batched queries over the parallel runtime; same contract as
   /// KdTree::QueryBatch (including `skip_self`). Internally each worker
   /// sweeps query tiles against cache-sized point blocks with the tiled

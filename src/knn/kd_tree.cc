@@ -218,14 +218,6 @@ std::vector<Neighbour> KdTree::Query(std::span<const double> query, size_t k,
   return std::vector<Neighbour>(heap.begin(), heap.end());
 }
 
-Result<std::vector<Neighbour>> KdTree::Query(std::span<const double> query,
-                                             size_t k, ptrdiff_t skip_index,
-                                             const ExecutionContext& context,
-                                             const std::string& scope) const {
-  TRANSER_RETURN_IF_ERROR(context.Check(scope));
-  return Query(query, k, skip_index);
-}
-
 Result<std::vector<std::vector<Neighbour>>> KdTree::QueryBatch(
     const Matrix& queries, size_t k, const ExecutionContext& context,
     const std::string& scope, const ParallelOptions& options,

@@ -52,14 +52,6 @@ class KdTree : public KnnBackend {
   std::vector<Neighbour> Query(std::span<const double> query, size_t k,
                                ptrdiff_t skip_index = -1) const override;
 
-  /// Query that observes an execution context: returns the TE /
-  /// cancellation status instead of scanning once the context expires.
-  Result<std::vector<Neighbour>> Query(std::span<const double> query,
-                                       size_t k, ptrdiff_t skip_index,
-                                       const ExecutionContext& context,
-                                       const std::string& scope = "kd_tree")
-      const override;
-
   /// Answers one Query per row of `queries` over the parallel runtime.
   /// Results land in row order, bit-identical at any thread count;
   /// workers poll `context` per chunk. With `skip_self`, query row i

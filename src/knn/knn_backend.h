@@ -76,13 +76,6 @@ class KnnBackend {
                                        size_t k,
                                        ptrdiff_t skip_index = -1) const = 0;
 
-  /// Context-observing query: returns the TE / cancellation status
-  /// instead of scanning once the context expires.
-  virtual Result<std::vector<Neighbour>> Query(
-      std::span<const double> query, size_t k, ptrdiff_t skip_index,
-      const ExecutionContext& context,
-      const std::string& scope = "knn") const = 0;
-
   /// One Query per row of `queries` over the parallel runtime. Results
   /// land in row order, bit-identical at any thread count; workers poll
   /// `context` per chunk. With `skip_self`, query row i excludes stored

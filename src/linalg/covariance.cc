@@ -1,17 +1,25 @@
 #include "linalg/covariance.h"
 
+#include "util/logging.h"
+
 namespace transer {
 
-std::vector<double> ColumnMeans(const Matrix& x) {
-  std::vector<double> mean(x.cols(), 0.0);
-  if (x.rows() == 0) return mean;
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const double* row = x.Row(r);
-    for (size_t c = 0; c < x.cols(); ++c) mean[c] += row[c];
+std::vector<double> ColumnMeans(std::span<const double> values, size_t rows,
+                                size_t cols) {
+  TRANSER_CHECK_EQ(values.size(), rows * cols);
+  std::vector<double> mean(cols, 0.0);
+  if (rows == 0) return mean;
+  for (size_t r = 0; r < rows; ++r) {
+    const double* row = values.data() + r * cols;
+    for (size_t c = 0; c < cols; ++c) mean[c] += row[c];
   }
-  const double inv = 1.0 / static_cast<double>(x.rows());
+  const double inv = 1.0 / static_cast<double>(rows);
   for (double& v : mean) v *= inv;
   return mean;
+}
+
+std::vector<double> ColumnMeans(const Matrix& x) {
+  return ColumnMeans(x.data(), x.rows(), x.cols());
 }
 
 Matrix SampleCovariance(const Matrix& x) {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "knn/ann_graph.h"
+#include "linalg/covariance.h"
 #include "ml/classifier.h"
 #include "ml/knn_classifier.h"
 #include "util/string_util.h"
@@ -268,14 +269,8 @@ Response ServerCore::HandleData(const Request& request, double deadline_ms,
   if (full_resolve) {
     // Rung 0 pays for freshness and the domain probe.
     repository_.MaybeRefresh();
-    std::vector<double> centroid(cols, 0.0);
-    for (uint64_t r = 0; r < rows; ++r) {
-      const double* row = request.features.data() + r * cols;
-      for (size_t c = 0; c < cols; ++c) centroid[c] += row[c];
-    }
-    const double inv = 1.0 / static_cast<double>(rows);
-    for (double& value : centroid) value *= inv;
-    auto selected = repository_.Select(request.feature_names, centroid);
+    auto selected = repository_.Select(
+        request.feature_names, ColumnMeans(request.features, rows, cols));
     if (!selected.ok()) {
       return reject(DegradationKind::kServeRequestRejected,
                     selected.status().ToString());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "linalg/covariance.h"
 #include "linalg/matrix.h"
 #include "ml/threshold_classifier.h"
 #include "util/artifact_io.h"
@@ -473,16 +474,8 @@ Result<TransERPipelineState> StreamResolver::ExportPipelineState() const {
   if (!pair_labels_.empty()) {
     // Domain profile: per-feature mean of the compared pairs, the same
     // probe the serving repository uses for schema-less fallback.
-    const size_t width = feature_names_.size();
-    state.target_centroid.assign(width, 0.0);
-    for (size_t row = 0; row < pair_labels_.size(); ++row) {
-      for (size_t c = 0; c < width; ++c) {
-        state.target_centroid[c] += pair_features_[row * width + c];
-      }
-    }
-    for (double& v : state.target_centroid) {
-      v /= static_cast<double>(pair_labels_.size());
-    }
+    state.target_centroid = ColumnMeans(pair_features_, pair_labels_.size(),
+                                        feature_names_.size());
   }
   state.classifier_name = classifier_family_;
   TRANSER_ASSIGN_OR_RETURN(

@@ -80,6 +80,47 @@ Status SyncParentDir(const std::string& path) {
   return Status::OK();
 }
 
+Status WriteFileAtomically(const std::string& path,
+                           std::span<const uint8_t> bytes) {
+  const std::string temp_path = path + ".tmp";
+  const int fd = ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + temp_path + " for writing");
+  }
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        WriteFd(fd, bytes.data() + written, bytes.size() - written);
+    if (n <= 0) {
+      ::close(fd);
+      ::unlink(temp_path.c_str());
+      return Status::IoError("failed writing " + temp_path);
+    }
+    written += static_cast<size_t>(n);
+  }
+  // A failed fsync means the kernel could not promise the bytes are on
+  // disk; surfacing it *before* the rename is what keeps the file at
+  // `path` trustworthy — renaming first would publish content that
+  // might evaporate on power loss.
+  if (FsyncFd(fd) != 0) {
+    ::close(fd);
+    ::unlink(temp_path.c_str());
+    return Status::IoError("failed fsyncing " + temp_path);
+  }
+  if (::close(fd) != 0) {
+    ::unlink(temp_path.c_str());
+    return Status::IoError("failed closing " + temp_path);
+  }
+  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
+    ::unlink(temp_path.c_str());
+    return Status::IoError("failed renaming " + temp_path + " over " + path);
+  }
+  // The rename itself lives in the directory; without this sync a crash
+  // can forget the publish even though the file's bytes are safe. The
+  // file at `path` is complete either way, so the caller may retry.
+  return SyncParentDir(path);
+}
+
 uint32_t Crc32(const void* data, size_t size) {
   const uint32_t* table = CrcTable();
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
@@ -329,45 +370,7 @@ Status WriteArtifact(const std::string& path, const Header& header,
   trailer.PutU32(Crc32(file.data(), file.size()));
   file.insert(file.end(), trailer.bytes().begin(), trailer.bytes().end());
 
-  // Write-temp, fsync, rename: the artifact at `path` is always either
-  // the previous complete file or the new complete file.
-  const std::string temp_path = path + ".tmp";
-  const int fd = ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot open " + temp_path + " for writing");
-  }
-  size_t written = 0;
-  while (written < file.size()) {
-    const ssize_t n =
-        WriteFd(fd, file.data() + written, file.size() - written);
-    if (n <= 0) {
-      ::close(fd);
-      ::unlink(temp_path.c_str());
-      return Status::IoError("failed writing " + temp_path);
-    }
-    written += static_cast<size_t>(n);
-  }
-  // A failed fsync means the kernel could not promise the bytes are on
-  // disk; surfacing it *before* the rename is what keeps the artifact at
-  // `path` trustworthy — renaming first would publish a file whose
-  // content might evaporate on power loss.
-  if (FsyncFd(fd) != 0) {
-    ::close(fd);
-    ::unlink(temp_path.c_str());
-    return Status::IoError("failed fsyncing " + temp_path);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(temp_path.c_str());
-    return Status::IoError("failed closing " + temp_path);
-  }
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
-    ::unlink(temp_path.c_str());
-    return Status::IoError("failed renaming " + temp_path + " over " + path);
-  }
-  // The rename itself lives in the directory; without this sync a crash
-  // can forget the publish even though the file's bytes are safe. The
-  // artifact at `path` is complete either way, so the caller may retry.
-  return SyncParentDir(path);
+  return WriteFileAtomically(path, file);
 }
 
 Result<Artifact> ReadArtifact(const std::string& path) {

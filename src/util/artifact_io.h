@@ -59,6 +59,16 @@ ssize_t WriteFd(int fd, const void* buf, size_t count);
 /// into that directory durable. IoError on failure.
 Status SyncParentDir(const std::string& path);
 
+/// Publishes `bytes` at `path` crash-safely: write a sibling
+/// `<path>.tmp`, fsync it, rename it over `path`, fsync the directory.
+/// A crash leaves either the previous file or the complete new one,
+/// never a torn write. Any failure before the rename removes the temp
+/// file and returns IoError with nothing published. The one publish
+/// discipline of the library: artifacts, journal creation and
+/// compaction, and segment manifests all go through it.
+Status WriteFileAtomically(const std::string& path,
+                           std::span<const uint8_t> bytes);
+
 /// Order-sensitive FNV-1a fingerprint of a feature schema (column count
 /// plus every column name). Two matrices agree on the fingerprint iff
 /// they present the same features in the same order — the compatibility
@@ -146,10 +156,8 @@ struct Artifact {
   const Section* Find(const std::string& name) const;
 };
 
-/// Serialises header + sections to `path` crash-safely: the file is
-/// written to a sibling temp path, fsync'd, and renamed into place, so a
-/// crash leaves either the previous artifact or the complete new one —
-/// never a torn write. Layout (DESIGN.md §8): magic, u32 format version,
+/// Serialises header + sections and publishes them at `path` through
+/// WriteFileAtomically. Layout (DESIGN.md §8): magic, u32 format version,
 /// header fields, u32 section count, per section (name, u64 length,
 /// payload, u32 CRC-32 of the payload), then a u32 CRC-32 of everything
 /// before it as the file trailer.

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -38,43 +37,6 @@ std::vector<uint8_t> EncodeHeader(const char magic[4]) {
   PutLe32(kFrameFormatVersion, &header);
   PutLe32(artifact::Crc32(header.data(), header.size()), &header);
   return header;
-}
-
-/// Writes `bytes` to `path` via temp + fsync + rename + dir fsync. The
-/// same publish discipline as artifact::WriteArtifact, reused for the
-/// journal header (creation) and full rewrites (compaction).
-Status WriteFileAtomically(const std::string& path,
-                           const std::vector<uint8_t>& bytes) {
-  const std::string temp_path = path + ".tmp";
-  const int fd = ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot open " + temp_path + " for writing");
-  }
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        artifact::WriteFd(fd, bytes.data() + written, bytes.size() - written);
-    if (n <= 0) {
-      ::close(fd);
-      ::unlink(temp_path.c_str());
-      return Status::IoError("failed writing " + temp_path);
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (artifact::FsyncFd(fd) != 0) {
-    ::close(fd);
-    ::unlink(temp_path.c_str());
-    return Status::IoError("failed fsyncing " + temp_path);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(temp_path.c_str());
-    return Status::IoError("failed closing " + temp_path);
-  }
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
-    ::unlink(temp_path.c_str());
-    return Status::IoError("failed renaming " + temp_path + " over " + path);
-  }
-  return artifact::SyncParentDir(path);
 }
 
 std::vector<uint8_t> EncodeFrame(std::span<const uint8_t> payload) {
@@ -166,41 +128,6 @@ Status ScanJournalImage(const std::vector<uint8_t>& file,
 
 }  // namespace
 
-Result<LineRecovery> RecoverJournalLines(
-    const std::string& path,
-    const std::function<Status(const std::string&)>& validate) {
-  LineRecovery recovery;
-  std::ifstream in(path);
-  if (!in.is_open()) return recovery;  // fresh journal
-
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!Trim(line).empty()) lines.push_back(line);
-  }
-  recovery.total_lines = lines.size();
-
-  for (size_t i = 0; i < lines.size(); ++i) {
-    const Status parsed = validate(lines[i]);
-    if (parsed.ok()) {
-      recovery.lines.push_back(std::move(lines[i]));
-      continue;
-    }
-    // Only a torn *tail* is consistent with an append-only journal;
-    // damage earlier in the file means it is not ours (or was edited),
-    // and silently dropping completed entries would corrupt whatever
-    // the journal protects.
-    if (i + 1 != lines.size()) {
-      return Status::FailedPrecondition(StrFormat(
-          "journal %s: line %zu of %zu is corrupt (not just a torn "
-          "tail): %s",
-          path.c_str(), i + 1, lines.size(), parsed.message().c_str()));
-    }
-    recovery.tail_dropped = true;
-  }
-  return recovery;
-}
-
 FrameJournal::~FrameJournal() { Close(); }
 
 FrameJournal::FrameJournal(FrameJournal&& other) noexcept
@@ -246,7 +173,8 @@ Result<FrameJournal> FrameJournal::Open(const std::string& path,
   // Create a fresh journal atomically so a crash during creation never
   // leaves a torn header behind.
   if (::access(path.c_str(), F_OK) != 0) {
-    TRANSER_RETURN_IF_ERROR(WriteFileAtomically(path, EncodeHeader(magic)));
+    TRANSER_RETURN_IF_ERROR(
+        artifact::WriteFileAtomically(path, EncodeHeader(magic)));
   }
 
   const int fd = ::open(path.c_str(), O_RDWR);
@@ -341,7 +269,7 @@ Status FrameJournal::Rewrite(const std::string& path, const char magic[4],
     const std::vector<uint8_t> frame = EncodeFrame(payload);
     file.insert(file.end(), frame.begin(), frame.end());
   }
-  return WriteFileAtomically(path, file);
+  return artifact::WriteFileAtomically(path, file);
 }
 
 Status ScanFrames(const std::string& path, const char magic[4],
@@ -458,8 +386,8 @@ std::string SegmentedJournal::SegmentPath(uint64_t id) const {
 
 Status SegmentedJournal::PublishManifest(uint64_t first_id,
                                          uint64_t last_id) {
-  return WriteFileAtomically(ManifestPath(directory_, stem_),
-                             EncodeManifest(first_id, last_id));
+  return artifact::WriteFileAtomically(ManifestPath(directory_, stem_),
+                                       EncodeManifest(first_id, last_id));
 }
 
 Status SegmentedJournal::OpenFreshSegment(uint64_t id) {

@@ -2,7 +2,6 @@
 #define TRANSER_UTIL_JOURNAL_IO_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -21,30 +20,11 @@ namespace journal {
 /// truncates away. Damage anywhere *before* the tail is not consistent
 /// with the append protocol — it means the file was edited or belongs
 /// to someone else — and is an error rather than silent data loss.
-/// Both the line-based sweep checkpoint (core/sweep_checkpoint) and the
-/// binary CRC-framed ingest WAL (stream/ingest_journal) recover through
-/// the helpers here, so the policy cannot drift between them.
-
-// ---------------------------------------------------------------------
-// Line journals (one entry per text line; the entry format supplies its
-// own malformation check).
-
-/// \brief What line recovery found at `path`.
-struct LineRecovery {
-  std::vector<std::string> lines;  ///< well-formed entries, file order
-  size_t total_lines = 0;          ///< non-blank lines present pre-drop
-  bool tail_dropped = false;       ///< trailing corrupt line was dropped
-};
-
-/// Reads the line journal at `path` and validates every non-blank line
-/// with `validate` (non-OK = malformed). A missing file is an empty
-/// journal. Only the final line may be malformed (dropped and reported
-/// via `tail_dropped`); a malformed line with well-formed lines after
-/// it fails with FailedPrecondition. The file itself is not modified —
-/// callers persist the truncation by rewriting their journal.
-Result<LineRecovery> RecoverJournalLines(
-    const std::string& path,
-    const std::function<Status(const std::string&)>& validate);
+/// There is one on-disk format, the CRC-framed FrameJournal; both
+/// journals in the library are its clients — the sweep checkpoint
+/// (core/sweep_checkpoint) directly, the ingest WAL
+/// (stream/ingest_journal) through SegmentedJournal — so the policy
+/// cannot drift between them.
 
 // ---------------------------------------------------------------------
 // Binary CRC-framed journals.
@@ -78,8 +58,9 @@ struct FrameRecovery {
 /// the file comment). A fresh journal is created via write-temp-fsync-
 /// rename, so a crash during creation never leaves a half header.
 ///
-/// Not thread-safe: one writer owns a journal (the ingest loop is
-/// single-writer by design; determinism comes from journal order).
+/// Not thread-safe: one writer owns a journal, and concurrent producers
+/// serialise through it (the ingest loop's single appender, the sweep
+/// checkpoint's mutex).
 class FrameJournal {
  public:
   FrameJournal() = default;

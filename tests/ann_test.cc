@@ -281,8 +281,7 @@ TEST(AnnGraphTest, QueryObservesExpiredContext) {
   AnnGraph graph(points);
   ExecutionContext context({/*time=*/1e-9, /*memory=*/0});
   ASSERT_TRUE(context.Expired());  // ~0 deadline latches on the first poll
-  const auto result =
-      graph.Query(RowSpan(points, 0), 5, /*skip_index=*/-1, context);
+  const auto result = graph.QueryBatch(points.SelectRows({0}), 5, context);
   EXPECT_FALSE(result.ok());
 }
 

@@ -375,10 +375,10 @@ TEST(KnnBudgetTest, KdTreeCreateReportsMeAndReleasesOnDestruction) {
     ASSERT_TRUE(tree.ok()) << tree.status().ToString();
     const KdTree built = std::move(tree).value();
     EXPECT_GT(roomy.reserved_bytes(), 0u);
-    auto neighbours =
-        built.Query(std::vector<double>{0.5, 0.5, 0.5}, 3, -1, roomy);
+    auto neighbours = built.QueryBatch(Matrix(1, 3, 0.5), 3, roomy);
     ASSERT_TRUE(neighbours.ok());
-    EXPECT_EQ(neighbours.value().size(), 3u);
+    ASSERT_EQ(neighbours.value().size(), 1u);
+    EXPECT_EQ(neighbours.value()[0].size(), 3u);
   }
   EXPECT_EQ(roomy.reserved_bytes(), 0u);  // the tree returned its budget
 }
@@ -394,13 +394,22 @@ TEST(KnnBudgetTest, BruteForceCreateReportsMe) {
 
 TEST(KnnBudgetTest, QueryHonoursExpiredContext) {
   const Matrix points = RandomPoints(50, 2, 7);
-  auto tree = KdTree::Create(points, ExecutionContext::Unlimited());
-  ASSERT_TRUE(tree.ok());
-  ExecutionContext expired({/*time=*/1e-9, /*memory=*/0});
-  auto neighbours =
-      tree.value().Query(std::vector<double>{0.5, 0.5}, 3, -1, expired);
-  ASSERT_FALSE(neighbours.ok());
-  EXPECT_NE(neighbours.status().message().find("(TE)"), std::string::npos);
+  for (KnnBackendKind kind : {KnnBackendKind::kKdTree,
+                              KnnBackendKind::kBruteForce,
+                              KnnBackendKind::kAnnGraph}) {
+    SCOPED_TRACE(KnnBackendKindName(kind));
+    KnnBackendOptions options;
+    options.kind = kind;
+    auto backend = CreateKnnBackend(points, options);
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    ExecutionContext expired({/*time=*/1e-9, /*memory=*/0});
+    ASSERT_TRUE(expired.Expired());  // ~0 deadline latches on first poll
+    auto neighbours = backend.value()->QueryBatch(Matrix(1, 2, 0.5), 3,
+                                                  expired);
+    ASSERT_FALSE(neighbours.ok());
+    EXPECT_NE(neighbours.status().message().find("(TE)"),
+              std::string::npos);
+  }
 }
 
 // ---------- execution control under the parallel runtime ----------

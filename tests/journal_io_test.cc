@@ -1,11 +1,12 @@
 // Tests for the shared journal layer (util/journal_io): the one
-// torn-tail recovery policy behind both the line-based sweep checkpoint
-// and the binary CRC-framed ingest WAL. The heavy lifting is two fuzz
-// families run over BOTH call sites — truncate-at-every-byte-prefix
-// (every possible crash point of an append) and flip-every-byte (bit
-// rot anywhere in the file) — plus the fsync-fault proofs that a
-// journal append and an artifact publish surface fsync failure as a
-// write error instead of acknowledging unsynced bytes.
+// CRC-framed format and torn-tail recovery policy behind both journal
+// clients, the sweep checkpoint and the segmented ingest WAL. The heavy
+// lifting is two fuzz families run over the raw FrameJournal AND both
+// clients — truncate-at-every-byte-prefix (every possible crash point of
+// an append) and flip-every-byte (bit rot anywhere in the file) — plus
+// the fsync-fault proofs that a journal append and an artifact publish
+// surface fsync failure as a write error instead of acknowledging
+// unsynced bytes.
 
 #include <cstdio>
 #include <filesystem>
@@ -254,7 +255,7 @@ TEST(FrameJournalFuzzTest, FlipEveryByteNeverYieldsCorruptFrames) {
   }
 }
 
-// ---------- Line-journal call site: the sweep checkpoint ----------
+// ---------- Sweep-checkpoint call site ----------
 
 SweepCellRecord MakeCell(size_t i) {
   SweepCellRecord record;
@@ -269,94 +270,96 @@ SweepCellRecord MakeCell(size_t i) {
   return record;
 }
 
-std::string WriteCheckpoint(const std::string& name, size_t n) {
-  const std::string path = TempPath(name);
+/// Journals MakeCell(0..n-1) into a fresh checkpoint and returns the
+/// byte offset at which each frame ends (boundaries[0] == header end).
+std::vector<size_t> WriteCheckpoint(const std::string& path, size_t n) {
+  std::vector<size_t> boundaries = {kHeaderBytes};
   auto opened = SweepCheckpoint::Open(path);
   EXPECT_TRUE(opened.ok()) << opened.status().ToString();
   SweepCheckpoint checkpoint = std::move(opened).value();
   for (size_t i = 0; i < n; ++i) {
     EXPECT_TRUE(checkpoint.Record(MakeCell(i)).ok());
+    boundaries.push_back(boundaries.back() + 8 +
+                         EncodeSweepCellRecord(MakeCell(i)).size());
   }
-  return path;
+  return boundaries;
 }
 
-// The same every-prefix sweep against the line-journal call site: a
-// truncation can only damage the trailing line, so Open must succeed at
-// EVERY cut, recover exactly the newline-terminated records, and report
-// the partial trailing line as a dropped tail.
+/// Expects `checkpoint` to hold exactly MakeCell(0..n-1), bit for bit.
+void ExpectCellPrefix(const SweepCheckpoint& checkpoint, size_t n) {
+  ASSERT_EQ(checkpoint.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(EncodeSweepCellRecord(checkpoint.records()[i]),
+              EncodeSweepCellRecord(MakeCell(i)))
+        << "cell " << i;
+  }
+}
+
+// The every-prefix sweep against the checkpoint: a cut inside the
+// header (created atomically, so never torn by a crash) is refused; any
+// later cut recovers exactly the complete frames, reports a torn tail
+// once iff the cut is off a frame boundary, and persists the truncation.
 TEST(SweepCheckpointFuzzTest, TruncateAtEveryPrefixRecoversCleanPrefix) {
   const size_t kCells = 4;
-  const std::string master =
-      WriteCheckpoint("sweep_trunc_master.jsonl", kCells);
+  const std::string master = TempPath("sweep_trunc_master.ckpt");
+  const std::vector<size_t> boundaries = WriteCheckpoint(master, kCells);
   const std::vector<uint8_t> original = FileBytes(master);
-  ASSERT_FALSE(original.empty());
+  ASSERT_EQ(original.size(), boundaries.back());
 
-  std::vector<size_t> newlines;
-  for (size_t i = 0; i < original.size(); ++i) {
-    if (original[i] == '\n') newlines.push_back(i);
-  }
-  ASSERT_EQ(newlines.size(), kCells);
-
-  const std::string path = TempPath("sweep_trunc.jsonl");
+  const std::string path = TempPath("sweep_trunc.ckpt");
   for (size_t cut = 0; cut <= original.size(); ++cut) {
     SCOPED_TRACE("cut=" + std::to_string(cut));
     const std::vector<uint8_t> prefix(original.begin(),
                                       original.begin() + cut);
     ASSERT_TRUE(fault::WriteFileBytes(path, prefix).ok());
 
-    // A line survives once its full content is inside the prefix — the
-    // trailing newline itself is optional (getline still yields the
-    // complete final line). The tail is partial only when the cut lands
-    // strictly inside a line's content.
-    size_t complete = 0;
-    bool partial_tail = cut > 0;
-    for (size_t nl : newlines) {
-      if (nl <= cut) ++complete;
-      if (cut == nl || cut == nl + 1) partial_tail = false;
-    }
-
     RunDiagnostics diagnostics;
     auto opened = SweepCheckpoint::Open(path, &diagnostics);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    const SweepCheckpoint& checkpoint = opened.value();
-    ASSERT_EQ(checkpoint.size(), complete);
-    for (size_t i = 0; i < complete; ++i) {
-      EXPECT_EQ(EncodeSweepCellRecord(checkpoint.records()[i]),
-                EncodeSweepCellRecord(MakeCell(i)));
+    if (cut < kHeaderBytes) {
+      ASSERT_FALSE(opened.ok());
+      EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+      continue;
     }
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    size_t intact = 0;
+    while (intact < kCells && boundaries[intact + 1] <= cut) ++intact;
+    ExpectCellPrefix(opened.value(), intact);
+    const bool on_boundary = cut == boundaries[intact];
     EXPECT_EQ(
         diagnostics.CountKind(DegradationKind::kCheckpointTailDropped),
-        partial_tail ? 1u : 0u);
-    if (partial_tail) {
-      // The drop was persisted: a second Open sees a clean journal.
-      RunDiagnostics again;
-      auto reopened = SweepCheckpoint::Open(path, &again);
-      ASSERT_TRUE(reopened.ok());
-      EXPECT_EQ(reopened.value().size(), complete);
-      EXPECT_EQ(
-          again.CountKind(DegradationKind::kCheckpointTailDropped), 0u);
-    }
+        on_boundary ? 0u : 1u);
+    // The torn bytes are gone from disk, so a second Open is clean.
+    EXPECT_EQ(fs::file_size(path), boundaries[intact]);
+    RunDiagnostics again;
+    auto reopened = SweepCheckpoint::Open(path, &again);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ExpectCellPrefix(reopened.value(), intact);
+    EXPECT_EQ(again.CountKind(DegradationKind::kCheckpointTailDropped), 0u);
   }
 }
 
-// Structural damage before the tail must refuse, not silently drop
-// completed work — the policy RecoverJournalLines enforces for every
-// line-journal client.
+// Damage before the tail must refuse, not silently drop completed work —
+// the FrameJournal policy every journal client inherits.
 TEST(SweepCheckpointFuzzTest, MidFileCorruptionFailsInsteadOfDropping) {
-  const std::string path = WriteCheckpoint("sweep_midfile.jsonl", 4);
-  ASSERT_TRUE(fault::FlipFileByte(path, 0).ok());  // first line's '{'
+  const std::string path = TempPath("sweep_midfile.ckpt");
+  WriteCheckpoint(path, 4);
+  // First frame's payload: past the header and the frame's u32 length.
+  ASSERT_TRUE(fault::FlipFileByte(path, kHeaderBytes + 4).ok());
   auto opened = SweepCheckpoint::Open(path);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(SweepCheckpointFuzzTest, FlipEveryByteNeverCrashesOrOverReads) {
+// Every frame carries a CRC, so a flipped byte can never surface as a
+// changed cell: Open either refuses (header damage, mid-file damage) or
+// recovers an untouched strict prefix with the drop reported.
+TEST(SweepCheckpointFuzzTest, FlipEveryByteNeverYieldsChangedRecords) {
   const size_t kCells = 3;
-  const std::string master =
-      WriteCheckpoint("sweep_flip_master.jsonl", kCells);
+  const std::string master = TempPath("sweep_flip_master.ckpt");
+  WriteCheckpoint(master, kCells);
   const std::vector<uint8_t> original = FileBytes(master);
 
-  const std::string path = TempPath("sweep_flip.jsonl");
+  const std::string path = TempPath("sweep_flip.ckpt");
   for (size_t offset = 0; offset < original.size(); ++offset) {
     SCOPED_TRACE("offset=" + std::to_string(offset));
     std::vector<uint8_t> mutated = original;
@@ -365,15 +368,19 @@ TEST(SweepCheckpointFuzzTest, FlipEveryByteNeverCrashesOrOverReads) {
 
     RunDiagnostics diagnostics;
     auto opened = SweepCheckpoint::Open(path, &diagnostics);
+    if (offset < kHeaderBytes) {
+      ASSERT_FALSE(opened.ok());
+      EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
     if (!opened.ok()) {
-      // Only the mid-file refusal is acceptable as a failure.
       EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
       continue;
     }
-    // JSON lines carry no CRC, so a flip inside a string value can
-    // survive as a (changed) valid record — but recovery must never
-    // invent records or mis-handle the tail.
-    EXPECT_LE(opened.value().size(), kCells);
+    ASSERT_LT(opened.value().size(), kCells);
+    ExpectCellPrefix(opened.value(), opened.value().size());
+    EXPECT_EQ(
+        diagnostics.CountKind(DegradationKind::kCheckpointTailDropped), 1u);
   }
 }
 

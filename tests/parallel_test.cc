@@ -6,9 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -303,28 +301,24 @@ TEST(ParallelDeterminismTest, TransERReportBitIdenticalAcrossThreadCounts) {
 }
 
 std::string TempJournalPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name + ".jsonl";
+  const std::string path = ::testing::TempDir() + name + ".ckpt";
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
   return path;
 }
 
-/// The journal with every runtime_seconds (the only wall-clock —
-/// i.e. nondeterministic — field) zeroed, re-encoded line by line.
-std::string NormalisedJournal(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open()) << path;
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto record = DecodeSweepCellRecord(line);
-    EXPECT_TRUE(record.ok()) << line;
-    if (!record.ok()) continue;
-    record.value().runtime_seconds = 0.0;
-    out << EncodeSweepCellRecord(record.value()) << '\n';
+/// The journal's cells in file order with every runtime_seconds (the
+/// only wall-clock — i.e. nondeterministic — field) zeroed, re-encoded.
+std::vector<std::vector<uint8_t>> NormalisedJournal(const std::string& path) {
+  std::vector<std::vector<uint8_t>> cells;
+  auto checkpoint = SweepCheckpoint::Open(path);
+  EXPECT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  if (!checkpoint.ok()) return cells;
+  for (SweepCellRecord record : checkpoint.value().records()) {
+    record.runtime_seconds = 0.0;
+    cells.push_back(EncodeSweepCellRecord(record));
   }
-  return out.str();
+  return cells;
 }
 
 TEST(ParallelDeterminismTest, SweepJournalsIdenticalAcrossThreadCounts) {
@@ -336,7 +330,7 @@ TEST(ParallelDeterminismTest, SweepJournalsIdenticalAcrossThreadCounts) {
   methods.push_back(std::make_unique<NaiveTransfer>());
   const auto suite = DefaultClassifierSuite();
 
-  std::vector<std::string> journals;
+  std::vector<std::vector<std::vector<uint8_t>>> journals;
   std::vector<std::vector<MethodScenarioResult>> all_results;
   for (int threads : {1, 2, 8}) {
     const std::string path = TempJournalPath(
