@@ -2,18 +2,24 @@
 // (knn/ann_graph): builds brute-force, KD-tree and ANN-graph indexes
 // over the same clustered synthetic point set, times QueryBatch on
 // each, and measures the graph's recall against the brute-force truth.
+// The graph is built twice through the production (batched) build: on
+// one lane and on N lanes, N = --threads (4 when --threads=1, so the
+// lane-count check below always compares different lane counts).
 //
 // Flags: --quick (n=20k, 128 queries — CI smoke; the full run is
 //        n=200k, 512 queries at d=64),
-//        --threads=N (QueryBatch lanes; default hardware width),
+//        --threads=N (build and QueryBatch lanes; default hardware
+//        width),
 //        --recall=R (the graph's recall_target; default 0.95),
 //        --ef-search=N (explicit beam override; 0 = derive from R),
 //        --out=<path> (sidecar; default BENCH_ann.json), --version.
 //
-// The binary enforces its own acceptance floor in full mode: the graph
-// must answer batches at least 10x faster than brute force while
-// keeping measured recall >= the target; quick mode only checks
-// recall (20k points leave too little work for a stable 10x wall-clock
+// The binary enforces its own acceptance floors. In every mode: the
+// 1-lane and N-lane graphs must answer the query batch byte-identically
+// (the build's lane-count determinism contract), and measured recall
+// must reach the target. In full mode the graph must also answer
+// batches at least 10x faster than brute force; quick mode skips that
+// claim (20k points leave too little work for a stable 10x wall-clock
 // claim on a loaded CI box). Violations exit 1 so CI fails loudly.
 //
 // The sidecar reuses the transer.kernel_perf schema and is diffed
@@ -85,6 +91,23 @@ double MeasuredRecall(const std::vector<std::vector<Neighbour>>& truth,
   return total == 0 ? 1.0 : static_cast<double>(hit) / total;
 }
 
+/// True when both batches hold the same neighbours at bit-identical
+/// distances, row for row.
+bool SameAnswers(const std::vector<std::vector<Neighbour>>& a,
+                 const std::vector<std::vector<Neighbour>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t q = 0; q < a.size(); ++q) {
+    if (a[q].size() != b[q].size()) return false;
+    for (size_t i = 0; i < a[q].size(); ++i) {
+      if (a[q][i].index != b[q][i].index ||
+          a[q][i].distance != b[q][i].distance) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 int Main(int argc, char** argv) {
   const bench::Flags flags(
       argc, argv, {"quick", "threads", "recall", "ef-search", "out"});
@@ -114,15 +137,46 @@ int Main(int argc, char** argv) {
   ann_options.recall_target = recall_target;
   ann_options.ef_search = ef_search;
 
-  Stopwatch build_watch;
-  const AnnGraph graph(points, ann_options);
-  const double graph_build_seconds = build_watch.ElapsedSeconds();
-  const BruteForceKnn brute(points);
-  const KdTree tree(points, threads);
-
   const ExecutionContext& context = ExecutionContext::Unlimited();
   ParallelOptions parallel;
   parallel.num_threads = threads;
+
+  // The production build (Create) on `lanes` lanes, timed.
+  auto build = [&](int lanes, double* seconds) {
+    Stopwatch watch;
+    auto built = AnnGraph::Create(points, ann_options, context, "ann",
+                                  nullptr, lanes);
+    *seconds = watch.ElapsedSeconds();
+    return built;
+  };
+  // The 1-lane graph lives only long enough to answer the query batch;
+  // the N-lane graph is the one timed and scored below.
+  const int build_lanes = bench::ResolveProbeLanes(threads);
+  double build_seconds_1_lane = 0.0;
+  std::vector<std::vector<Neighbour>> serial_answers;
+  {
+    auto serial_graph = build(1, &build_seconds_1_lane);
+    if (!serial_graph.ok()) {
+      std::fprintf(stderr, "graph build failed\n");
+      return 2;
+    }
+    auto answers =
+        serial_graph.value().QueryBatch(queries, k, context, "ann", parallel);
+    if (!answers.ok()) {
+      std::fprintf(stderr, "query batch failed\n");
+      return 2;
+    }
+    serial_answers = std::move(answers).value();
+  }
+  double graph_build_seconds = 0.0;
+  auto built = build(build_lanes, &graph_build_seconds);
+  if (!built.ok()) {
+    std::fprintf(stderr, "graph build failed\n");
+    return 2;
+  }
+  const AnnGraph graph = std::move(built).value();
+  const BruteForceKnn brute(points);
+  const KdTree tree(points, threads);
 
   const auto truth = brute.QueryBatch(queries, k, context, "ann", parallel);
   const auto approx = graph.QueryBatch(queries, k, context, "ann", parallel);
@@ -130,10 +184,24 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "query batch failed\n");
     return 2;
   }
+  const bool lanes_identical = SameAnswers(serial_answers, approx.value());
   const double recall = MeasuredRecall(truth.value(), approx.value());
 
   bench::PerfSidecar sidecar;
   sidecar.threads = threads;
+  // Build cost per inserted point, on one lane and on `build_lanes`.
+  auto add_build_entry = [&](const std::string& name, int lanes,
+                             double seconds) {
+    bench::PerfEntry entry;
+    entry.name = name;
+    entry.threads = lanes;
+    entry.ns_per_op = seconds * 1e9 / static_cast<double>(n);
+    entry.ops_per_sec =
+        seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0;
+    sidecar.entries.push_back(entry);
+  };
+  add_build_entry("ann.build.ann_graph.t1", 1, build_seconds_1_lane);
+  add_build_entry("ann.build.ann_graph.tN", build_lanes, graph_build_seconds);
   std::printf("%-24s %16s %14s\n", "index", "ns/query", "queries/s");
   auto time_batch = [&](const std::string& name, const KnnBackend& index) {
     const double ns = bench::MeasureNsPerOp(
@@ -161,13 +229,16 @@ int Main(int argc, char** argv) {
   const double speedup_vs_tree = tree_ns / graph_ns;
   const double mib =
       static_cast<double>(graph.GraphBytes()) / (1024.0 * 1024.0);
+  const double build_speedup = build_seconds_1_lane / graph_build_seconds;
   std::printf(
       "\nrecall=%.4f (target %.2f)  ef=%zu  speedup: %.1fx vs brute, "
       "%.1fx vs kd-tree\n"
-      "graph: %zu edges, top level %zu, %.1f MiB, built in %.2fs\n",
+      "graph: %zu edges, top level %zu, %.1f MiB, built in %.2fs on 1 "
+      "lane, %.2fs on %d lanes (%.2fx); answers %s across lane counts\n",
       recall, recall_target, graph.EffectiveEf(k), speedup_vs_brute,
       speedup_vs_tree, graph.EdgeCount(), graph.max_level(), mib,
-      graph_build_seconds);
+      build_seconds_1_lane, graph_build_seconds, build_lanes, build_speedup,
+      lanes_identical ? "identical" : "DIFFER");
 
   sidecar.extras.emplace_back("ann_recall", recall);
   sidecar.extras.emplace_back("ann_recall_target", recall_target);
@@ -175,14 +246,25 @@ int Main(int argc, char** argv) {
                               static_cast<double>(graph.EffectiveEf(k)));
   sidecar.extras.emplace_back("ann_speedup_vs_brute", speedup_vs_brute);
   sidecar.extras.emplace_back("ann_speedup_vs_kd_tree", speedup_vs_tree);
+  sidecar.extras.emplace_back("ann_graph_build_seconds_1_lane",
+                              build_seconds_1_lane);
   sidecar.extras.emplace_back("ann_graph_build_seconds",
                               graph_build_seconds);
+  sidecar.extras.emplace_back("ann_graph_build_speedup_vs_1_lane",
+                              build_speedup);
   sidecar.extras.emplace_back("ann_graph_mib", mib);
   if (!bench::WritePerfSidecar(out_path, sidecar)) return 2;
   std::printf("wrote %s\n", out_path.c_str());
 
   // In-binary acceptance floors (see header comment).
   bool failed = false;
+  if (!lanes_identical) {
+    std::fprintf(stderr,
+                 "FAIL: graphs built on 1 and %d lanes answer the query "
+                 "batch differently\n",
+                 build_lanes);
+    failed = true;
+  }
   if (recall < recall_target) {
     std::fprintf(stderr,
                  "FAIL: measured recall %.4f below target %.2f\n", recall,

@@ -236,6 +236,9 @@ int RunServer(int argc, char** argv) {
     return 2;
   }
   options.repository.knn.ann.recall_target = recall;
+  // Artifact loads run outside any parallel region, so the rebuilt
+  // index may use every lane (the process default).
+  options.repository.knn.num_threads = 0;
   options.max_concurrent_requests = static_cast<size_t>(
       GetIntFlag(argc, argv, "max-concurrent", 2, &flags_ok));
   options.queue_capacity =

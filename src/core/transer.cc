@@ -55,6 +55,147 @@ Status SnapshotCompatibleWithRun(const TransERPipelineState& state,
   return Status::OK();
 }
 
+/// SEL's parallel schedule: `num_threads` lanes (0 = process default),
+/// chunks of at least 8 source instances, budget outcomes recorded in
+/// `diagnostics` (may be null).
+ParallelOptions SelParallelOptions(int num_threads,
+                                   RunDiagnostics* diagnostics) {
+  ParallelOptions par;
+  par.num_threads = num_threads;
+  par.min_items_per_chunk = 8;
+  par.diagnostics = diagnostics;
+  return par;
+}
+
+/// Both neighbourhoods of every source instance (Algorithm 1, phase i):
+/// N_x^S over the source with the instance itself excluded, and N_x^T
+/// over the target. Only t_c / t_l change between the steps of the
+/// relaxation ladder, so a run computes these once and re-filters.
+struct SelNeighbourhoods {
+  Matrix x_source;
+  Matrix x_target;
+  std::vector<std::vector<Neighbour>> source;
+  std::vector<std::vector<Neighbour>> target;
+};
+
+/// Builds both indexes on the backend requested by `knn` (exact KD-tree
+/// by default; the approximate graph trades a bounded selection
+/// difference for sub-linear scans — see TransferRunOptions::knn_backend)
+/// and answers both neighbourhood scans through the batched query path.
+/// The indexes are released on return; only the answers are kept.
+Result<SelNeighbourhoods> ComputeSelNeighbourhoods(
+    size_t k, const FeatureMatrix& source, const FeatureMatrix& target,
+    const ExecutionContext& context, RunDiagnostics* diagnostics,
+    const KnnBackendOptions& knn, const ParallelOptions& par) {
+  TRANSER_RETURN_IF_ERROR(context.Check("transer", diagnostics));
+
+  SelNeighbourhoods out;
+  out.x_source = source.ToMatrix();
+  out.x_target = target.ToMatrix();
+
+  // k is clamped so the self-excluded source query stays satisfiable.
+  const size_t k_source =
+      std::min(k, source.size() > 1 ? source.size() - 1 : size_t{1});
+  const size_t k_target = std::min(k, target.size());
+  if (k_target == 0) {
+    return Status::InvalidArgument("target domain is empty");
+  }
+
+  // The two neighbourhood indexes are the phase's dominant allocation;
+  // build them against the budget so a tiny limit surfaces as 'ME' here.
+  TRANSER_ASSIGN_OR_RETURN(
+      const std::unique_ptr<KnnBackend> source_index,
+      CreateKnnBackend(out.x_source, knn, context, "transer", diagnostics));
+  TRANSER_ASSIGN_OR_RETURN(
+      const std::unique_ptr<KnnBackend> target_index,
+      CreateKnnBackend(out.x_target, knn, context, "transer", diagnostics));
+
+  TRANSER_ASSIGN_OR_RETURN(
+      out.source,
+      source_index->QueryBatch(out.x_source, k_source, context, "transer",
+                               par, /*skip_self=*/true));
+  TRANSER_ASSIGN_OR_RETURN(
+      out.target, target_index->QueryBatch(out.x_source, k_target, context,
+                                           "transer", par));
+  return out;
+}
+
+/// SEL's per-instance filter under thresholds `t_c` / `t_l` (plus the
+/// sim_v ablation's t_v). Instances are filtered over the parallel
+/// runtime; chunks fill private index lists that concatenate in chunk
+/// order, so the selection matches the serial scan exactly at any
+/// thread count. Workers observe `context` per chunk.
+Result<std::vector<size_t>> FilterSelInstances(
+    const TransEROptions& options, const FeatureMatrix& source,
+    const SelNeighbourhoods& neighbourhoods, const ExecutionContext& context,
+    const ParallelOptions& par, double t_c, double t_l) {
+  const Matrix& x_source = neighbourhoods.x_source;
+  const Matrix& x_target = neighbourhoods.x_target;
+  const size_t m = source.num_features();
+  const ChunkPlan plan = PlanChunks(source.size(), par.min_items_per_chunk);
+  std::vector<std::vector<size_t>> chunk_selected(plan.num_chunks);
+  TRANSER_RETURN_IF_ERROR(ParallelFor(
+      context, "transer", source.size(),
+      [&](size_t begin, size_t end, size_t chunk) -> Status {
+        std::vector<size_t>& kept = chunk_selected[chunk];
+        // Centroid scratch lives across the chunk's instances — the
+        // sim_l filter allocates nothing per instance.
+        std::vector<double> centroid_s, centroid_t;
+        for (size_t s = begin; s < end; ++s) {
+          if (!InParallelRegion()) {
+            // Heartbeat only from the single driving thread.
+            context.ReportProgress(static_cast<double>(s) /
+                                   static_cast<double>(source.size()));
+          }
+          const std::vector<Neighbour>& n_s = neighbourhoods.source[s];
+          const std::vector<Neighbour>& n_t = neighbourhoods.target[s];
+
+          // Equation (1): fraction of source neighbours sharing the label.
+          if (options.use_sim_c) {
+            size_t same_label = 0;
+            for (const auto& nb : n_s) {
+              if (source.label(nb.index) == source.label(s)) ++same_label;
+            }
+            const double sim_c = n_s.empty()
+                                     ? 0.0
+                                     : static_cast<double>(same_label) /
+                                           static_cast<double>(n_s.size());
+            if (sim_c < t_c) continue;
+          }
+
+          // Equation (2): decayed distance between neighbourhood centroids.
+          if (options.use_sim_l) {
+            NeighbourhoodCentroidInto(x_source, n_s, &centroid_s);
+            NeighbourhoodCentroidInto(x_target, n_t, &centroid_t);
+            const double sim_l = TransER::StructuralSimilarityFromDistance(
+                L2Distance(centroid_s, centroid_t), m);
+            if (sim_l < t_l) continue;
+          }
+
+          // Optional covariance filter (the "+ sim_v" ablation).
+          if (options.use_sim_v) {
+            const Matrix cov_s = NeighbourhoodCovariance(x_source, n_s);
+            const Matrix cov_t = NeighbourhoodCovariance(x_target, n_t);
+            const double sim_v =
+                std::exp(-5.0 * cov_s.Subtract(cov_t).FrobeniusNorm() /
+                         static_cast<double>(m));
+            if (sim_v < options.t_v) continue;
+          }
+
+          kept.push_back(s);
+        }
+        return Status::OK();
+      },
+      par));
+
+  std::vector<size_t> selected;
+  selected.reserve(source.size());
+  for (const std::vector<size_t>& kept : chunk_selected) {
+    selected.insert(selected.end(), kept.begin(), kept.end());
+  }
+  return selected;
+}
+
 }  // namespace
 
 TransER::TransER(TransEROptions options) : options_(options) {
@@ -78,123 +219,16 @@ Result<std::vector<size_t>> TransER::SelectInstances(
   std::optional<ExecutionContext> local_context;
   const ExecutionContext& context =
       ResolveExecutionContext(run_options, &local_context);
-  return SelectInstancesWithThresholds(
-      source, target, context, run_options.diagnostics,
-      ResolveKnnBackendOptions(run_options, run_options.num_threads),
-      options_.t_c, options_.t_l, run_options.num_threads);
-}
-
-Result<std::vector<size_t>> TransER::SelectInstancesWithThresholds(
-    const FeatureMatrix& source, const FeatureMatrix& target,
-    const ExecutionContext& context, RunDiagnostics* diagnostics,
-    const KnnBackendOptions& knn, double t_c, double t_l,
-    int num_threads) const {
-  TRANSER_RETURN_IF_ERROR(context.Check("transer", diagnostics));
-
-  const Matrix x_source = source.ToMatrix();
-  const Matrix x_target = target.ToMatrix();
-  const size_t m = source.num_features();
-
-  // k is clamped so the self-excluded source query stays satisfiable.
-  const size_t k_source =
-      std::min(options_.k, source.size() > 1 ? source.size() - 1 : size_t{1});
-  const size_t k_target = std::min(options_.k, target.size());
-  if (k_target == 0) {
-    return Status::InvalidArgument("target domain is empty");
-  }
-
-  // The two neighbourhood indexes are the phase's dominant allocation;
-  // build them against the budget so a tiny limit surfaces as 'ME' here.
-  // The backend is the caller's choice (TransferRunOptions::knn_backend):
-  // exact KD-tree by default, the approximate graph when SEL is asked to
-  // trade a little recall for sub-linear scans.
+  const ParallelOptions par =
+      SelParallelOptions(run_options.num_threads, run_options.diagnostics);
   TRANSER_ASSIGN_OR_RETURN(
-      const std::unique_ptr<KnnBackend> source_index,
-      CreateKnnBackend(x_source, knn, context, "transer", diagnostics));
-  TRANSER_ASSIGN_OR_RETURN(
-      const std::unique_ptr<KnnBackend> target_index,
-      CreateKnnBackend(x_target, knn, context, "transer", diagnostics));
-
-  // Both neighbourhoods of every source instance come from the batched
-  // query path (tiled kernels + per-thread scratch) up front: N_x^S with
-  // the self row excluded, N_x^T over the whole target.
-  ParallelOptions par;
-  par.num_threads = num_threads;
-  par.min_items_per_chunk = 8;
-  par.diagnostics = diagnostics;
-  TRANSER_ASSIGN_OR_RETURN(
-      const std::vector<std::vector<Neighbour>> source_neighbourhoods,
-      source_index->QueryBatch(x_source, k_source, context, "transer", par,
-                               /*skip_self=*/true));
-  TRANSER_ASSIGN_OR_RETURN(
-      const std::vector<std::vector<Neighbour>> target_neighbourhoods,
-      target_index->QueryBatch(x_source, k_target, context, "transer", par));
-
-  // Per-instance filters are independent; chunks fill private index
-  // lists that concatenate in chunk order, so the selection matches the
-  // serial scan exactly at any thread count.
-  const ChunkPlan plan = PlanChunks(source.size(), par.min_items_per_chunk);
-  std::vector<std::vector<size_t>> chunk_selected(plan.num_chunks);
-  TRANSER_RETURN_IF_ERROR(ParallelFor(
-      context, "transer", source.size(),
-      [&](size_t begin, size_t end, size_t chunk) -> Status {
-        std::vector<size_t>& kept = chunk_selected[chunk];
-        // Centroid scratch lives across the chunk's instances — the
-        // sim_l filter allocates nothing per instance.
-        std::vector<double> centroid_s, centroid_t;
-        for (size_t s = begin; s < end; ++s) {
-          if (!InParallelRegion()) {
-            // Heartbeat only from the single driving thread.
-            context.ReportProgress(static_cast<double>(s) /
-                                   static_cast<double>(source.size()));
-          }
-          const std::vector<Neighbour>& n_s = source_neighbourhoods[s];
-          const std::vector<Neighbour>& n_t = target_neighbourhoods[s];
-
-          // Equation (1): fraction of source neighbours sharing the label.
-          if (options_.use_sim_c) {
-            size_t same_label = 0;
-            for (const auto& nb : n_s) {
-              if (source.label(nb.index) == source.label(s)) ++same_label;
-            }
-            const double sim_c = n_s.empty()
-                                     ? 0.0
-                                     : static_cast<double>(same_label) /
-                                           static_cast<double>(n_s.size());
-            if (sim_c < t_c) continue;
-          }
-
-          // Equation (2): decayed distance between neighbourhood centroids.
-          if (options_.use_sim_l) {
-            NeighbourhoodCentroidInto(x_source, n_s, &centroid_s);
-            NeighbourhoodCentroidInto(x_target, n_t, &centroid_t);
-            const double sim_l = StructuralSimilarityFromDistance(
-                L2Distance(centroid_s, centroid_t), m);
-            if (sim_l < t_l) continue;
-          }
-
-          // Optional covariance filter (the "+ sim_v" ablation).
-          if (options_.use_sim_v) {
-            const Matrix cov_s = NeighbourhoodCovariance(x_source, n_s);
-            const Matrix cov_t = NeighbourhoodCovariance(x_target, n_t);
-            const double sim_v =
-                std::exp(-5.0 * cov_s.Subtract(cov_t).FrobeniusNorm() /
-                         static_cast<double>(m));
-            if (sim_v < options_.t_v) continue;
-          }
-
-          kept.push_back(s);
-        }
-        return Status::OK();
-      },
-      par));
-
-  std::vector<size_t> selected;
-  selected.reserve(source.size());
-  for (const std::vector<size_t>& kept : chunk_selected) {
-    selected.insert(selected.end(), kept.begin(), kept.end());
-  }
-  return selected;
+      const SelNeighbourhoods neighbourhoods,
+      ComputeSelNeighbourhoods(
+          options_.k, source, target, context, run_options.diagnostics,
+          ResolveKnnBackendOptions(run_options, run_options.num_threads),
+          par));
+  return FilterSelInstances(options_, source, neighbourhoods, context, par,
+                            options_.t_c, options_.t_l);
 }
 
 Result<std::vector<int>> TransER::RunWithReport(
@@ -344,13 +378,19 @@ Result<std::vector<int>> TransER::RunWithReport(
       return all;
     };
     if (options_.use_sel) {
+      const ParallelOptions par =
+          SelParallelOptions(run_options.num_threads, budget_diag);
+      TRANSER_ASSIGN_OR_RETURN(
+          const SelNeighbourhoods neighbourhoods,
+          ComputeSelNeighbourhoods(
+              options_.k, source, target, context, budget_diag,
+              ResolveKnnBackendOptions(run_options, run_options.num_threads),
+              par));
       double t_c = options_.t_c;
       double t_l = options_.t_l;
       for (size_t step = 0;; ++step) {
-        auto selected = SelectInstancesWithThresholds(
-            source, target, context, budget_diag,
-            ResolveKnnBackendOptions(run_options, run_options.num_threads),
-            t_c, t_l, run_options.num_threads);
+        auto selected = FilterSelInstances(options_, source, neighbourhoods,
+                                           context, par, t_c, t_l);
         if (!selected.ok()) return selected.status();
         transferred = source.Select(selected.value());
         if (trainable(transferred)) {

@@ -107,23 +107,6 @@ class TransER : public TransferMethod {
                                                  size_t num_features);
 
  private:
-  /// SEL with explicit thresholds — the degradation ladder re-runs the
-  /// selection under progressively relaxed t_c / t_l. Source instances
-  /// are filtered over the parallel runtime (`num_threads` lanes, 0 =
-  /// process default) with per-chunk index lists concatenated in chunk
-  /// order, so the selection is bit-identical at any parallelism.
-  /// The neighbourhood scans run on the index requested by `knn`
-  /// (exact KD-tree by default; the approximate graph trades a bounded
-  /// selection difference for sub-linear scans — see
-  /// TransferRunOptions::knn_backend). Workers observe `context` per
-  /// chunk; budget outcomes are recorded in `diagnostics` (may be
-  /// null).
-  Result<std::vector<size_t>> SelectInstancesWithThresholds(
-      const FeatureMatrix& source, const FeatureMatrix& target,
-      const ExecutionContext& context, RunDiagnostics* diagnostics,
-      const KnnBackendOptions& knn, double t_c, double t_l,
-      int num_threads) const;
-
   TransEROptions options_;
 };
 

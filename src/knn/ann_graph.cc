@@ -30,22 +30,22 @@ uint64_t Mix64(uint64_t x) {
 
 /// Per-thread search scratch: an epoch-stamped visited mark per stored
 /// row plus the two heaps, reused across queries so the search
-/// allocates nothing steady-state. `owner`/`epoch` make the marks safe
-/// to share between graphs of different addresses and across reuse.
+/// allocates nothing steady-state. The epoch only ever rises, so a mark
+/// always holds a past epoch until its row is visited again: the marks
+/// stay valid across graphs and across a graph's growth without being
+/// wiped.
 struct AnnScratch {
-  const void* owner = nullptr;
   uint32_t epoch = 0;
   std::vector<uint32_t> mark;
   std::vector<Neighbour> candidates;  ///< min-heap by NeighbourAfter
   std::vector<Neighbour> results;     ///< bounded max-heap (ef best)
 
-  /// Starts a fresh visited set over `rows` rows of graph `graph`.
-  void Begin(const void* graph, size_t rows) {
-    if (owner != graph || mark.size() < rows) {
-      mark.assign(rows, 0);
-      owner = graph;
-      epoch = 0;
-    }
+  /// Starts a fresh visited set covering rows [0, rows).
+  void Begin(size_t rows) {
+    // Grow geometrically: a grow-only graph gains one row per Insert,
+    // and re-sizing to exactly `rows` would zero-fill all n marks on
+    // every insert. New slots are 0, which is never a live epoch.
+    if (mark.size() < rows) mark.resize(std::max(rows, 2 * mark.size()), 0);
     if (++epoch == 0) {  // epoch wrapped: wipe the stale marks
       std::fill(mark.begin(), mark.end(), 0);
       epoch = 1;
@@ -59,9 +59,28 @@ struct AnnScratch {
 };
 thread_local AnnScratch tls_ann;
 
-/// Poll stride of the budgeted build: cheap enough to be invisible,
-/// frequent enough that a deadline surfaces within a few ms of work.
-constexpr size_t kBuildPollStride = 256;
+/// Largest insertion batch of a matrix build. Every row scans its
+/// earlier batch-mates exactly, so that scan grows with the square of
+/// the batch; a few hundred rows keeps it well below the beam search
+/// while leaving each lane dozens of rows per batch.
+constexpr size_t kMaxBatchRows = 256;
+
+/// End of the batch that starts at row `begin` — the batch plan, a pure
+/// function of the row count and never of the lane count. Prefix
+/// doubling: a batch holds as many rows as the graph it searches (row 0
+/// alone first), capped at kMaxBatchRows, so the small early graph
+/// grows in small batches.
+size_t BatchEnd(size_t begin, size_t rows) {
+  return std::min(rows, begin + std::clamp<size_t>(begin, 1, kMaxBatchRows));
+}
+
+/// One back-link of a batch: `source` (a new row) joins `target`'s list
+/// on `layer`.
+struct BackLink {
+  uint32_t target = 0;
+  uint32_t source = 0;
+  int layer = 0;
+};
 
 }  // namespace
 
@@ -75,33 +94,24 @@ AnnGraph::AnnGraph(size_t dimensions, AnnGraphOptions options)
 
 AnnGraph::AnnGraph(const Matrix& points, AnnGraphOptions options)
     : AnnGraph(points.cols(), options) {
-  data_.reserve(points.rows() * points.cols());
-  for (size_t i = 0; i < points.rows(); ++i) {
-    Status status = Insert(
-        std::span<const double>(points.Row(i), points.cols()));
-    TRANSER_CHECK(status.ok());
-  }
+  const Status built = Build(points, ExecutionContext::Unlimited(),
+                             "ann_graph", nullptr, /*num_threads=*/1);
+  TRANSER_CHECK(built.ok());
 }
 
 Result<AnnGraph> AnnGraph::Create(const Matrix& points,
                                   const AnnGraphOptions& options,
                                   const ExecutionContext& context,
                                   const std::string& scope,
-                                  RunDiagnostics* diagnostics) {
+                                  RunDiagnostics* diagnostics,
+                                  int num_threads) {
   TRANSER_RETURN_IF_ERROR(context.Check(scope, diagnostics));
   ScopedReservation reservation;
   TRANSER_RETURN_IF_ERROR(reservation.Acquire(
       context, scope, StorageBytes(points, options), diagnostics));
   AnnGraph graph(points.cols(), options);
-  graph.data_.reserve(points.rows() * points.cols());
-  for (size_t i = 0; i < points.rows(); ++i) {
-    if (i % kBuildPollStride == 0) {
-      TRANSER_RETURN_IF_ERROR(context.Check(scope, diagnostics));
-    }
-    Status status = graph.Insert(
-        std::span<const double>(points.Row(i), points.cols()));
-    TRANSER_RETURN_IF_ERROR(status);
-  }
+  TRANSER_RETURN_IF_ERROR(
+      graph.Build(points, context, scope, diagnostics, num_threads));
   graph.memory_ = std::move(reservation);
   return graph;
 }
@@ -137,59 +147,164 @@ double AnnGraph::DistSq(std::span<const double> query, double query_norm,
       norms_[row]);
 }
 
+void AnnGraph::AppendPoint(std::span<const double> point) {
+  data_.insert(data_.end(), point.begin(), point.end());
+  norms_.push_back(kernels::SquaredNorm(
+      std::span<const double>(data_.data() + rows_ * dims_, dims_)));
+  const int level = LevelForIndex(rows_);
+  levels_.push_back(level);
+  links_.emplace_back(static_cast<size_t>(level) + 1);
+  ++rows_;
+}
+
+Status AnnGraph::Build(const Matrix& points, const ExecutionContext& context,
+                       const std::string& scope, RunDiagnostics* diagnostics,
+                       int num_threads) {
+  const size_t n = points.rows();
+  data_.reserve(n * dims_);
+  norms_.reserve(n);
+  levels_.reserve(n);
+  links_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    AppendPoint(std::span<const double>(points.Row(i), points.cols()));
+  }
+  ParallelOptions lanes;
+  lanes.num_threads = num_threads;
+  lanes.diagnostics = diagnostics;
+  // ParallelFor polls the context before every chunk, so a deadline or
+  // cancellation stops the build within one batch.
+  for (size_t begin = 0; begin < n;) {
+    const size_t end = BatchEnd(begin, n);
+    TRANSER_RETURN_IF_ERROR(LinkBatch(begin, end, context, scope, lanes));
+    begin = end;
+  }
+  return Status::OK();
+}
+
+Status AnnGraph::LinkBatch(size_t begin, size_t end,
+                           const ExecutionContext& context,
+                           const std::string& scope,
+                           const ParallelOptions& lanes) {
+  // Phase 1: rows are independent — each writes only its own lists and
+  // reads only lists of rows before `begin`, which nobody writes until
+  // phase 2 — so any chunking yields the same links.
+  TRANSER_RETURN_IF_ERROR(ParallelFor(
+      context, scope, end - begin,
+      [&](size_t lo, size_t hi, size_t /*chunk*/) -> Status {
+        for (size_t row = begin + lo; row < begin + hi; ++row) {
+          LinkForward(row, begin);
+        }
+        return Status::OK();
+      },
+      lanes));
+
+  // Phase 2: group the back-links by target node, in insert order
+  // within each node. A node's shrink reads only its own list and the
+  // stored points, so nodes apply their additions in parallel, each in
+  // insert order, with the same result at any lane count.
+  std::vector<BackLink> back_links;
+  for (size_t source = begin; source < end; ++source) {
+    for (int layer = 0; layer <= levels_[source]; ++layer) {
+      for (uint32_t target : links_[source][layer]) {
+        back_links.push_back(
+            BackLink{target, static_cast<uint32_t>(source), layer});
+      }
+    }
+  }
+  std::sort(back_links.begin(), back_links.end(),
+            [](const BackLink& a, const BackLink& b) {
+              if (a.target != b.target) return a.target < b.target;
+              if (a.source != b.source) return a.source < b.source;
+              return a.layer < b.layer;
+            });
+  std::vector<size_t> node_begin;  // first back-link of each target node
+  for (size_t i = 0; i < back_links.size(); ++i) {
+    if (i == 0 || back_links[i].target != back_links[i - 1].target) {
+      node_begin.push_back(i);
+    }
+  }
+  node_begin.push_back(back_links.size());
+  TRANSER_RETURN_IF_ERROR(ParallelFor(
+      context, scope, node_begin.size() - 1,
+      [&](size_t lo, size_t hi, size_t /*chunk*/) -> Status {
+        for (size_t i = node_begin[lo]; i < node_begin[hi]; ++i) {
+          const BackLink& link = back_links[i];
+          AddBackLink(link.target, link.layer, link.source);
+        }
+        return Status::OK();
+      },
+      lanes));
+
+  for (size_t row = begin; row < end; ++row) {
+    if (row == 0 || levels_[row] > max_level_) {
+      entry_ = static_cast<uint32_t>(row);
+      max_level_ = levels_[row];
+    }
+  }
+  return Status::OK();
+}
+
+void AnnGraph::LinkForward(size_t index, size_t batch_begin) {
+  const std::span<const double> point(data_.data() + index * dims_, dims_);
+  const double norm = norms_[index];
+  const int level = levels_[index];
+  // The frozen graph is rows [0, batch_begin); empty only for row 0.
+  const bool has_graph = batch_begin > 0;
+
+  // Greedy descent through the frozen layers above the row's top layer,
+  // homing in on its neighbourhood.
+  Neighbour best;
+  if (has_graph) {
+    best = Neighbour{entry_, DistSq(point, norm, entry_)};
+    for (int layer = max_level_; layer > level; --layer) {
+      GreedyStep(point, norm, layer, &best);
+    }
+  }
+
+  std::vector<Neighbour> candidates;
+  for (int layer = level; layer >= 0; --layer) {
+    candidates.clear();
+    if (has_graph && layer <= max_level_) {
+      candidates =
+          SearchLayer(point, norm, best, options_.ef_construction, layer);
+      best = candidates.front();  // nearest graph node seeds the next layer
+    }
+    // Earlier batch-mates are not in the frozen graph yet: offer each
+    // one on this layer to the ef best by exact distance.
+    if (index > batch_begin) {
+      std::make_heap(candidates.begin(), candidates.end(), NeighbourBefore);
+      for (size_t mate = batch_begin; mate < index; ++mate) {
+        if (levels_[mate] < layer) continue;
+        PushBoundedNeighbour(&candidates, options_.ef_construction,
+                             Neighbour{mate, DistSq(point, norm, mate)});
+      }
+      std::sort(candidates.begin(), candidates.end(), NeighbourBefore);
+    }
+    links_[index][layer] = SelectNeighbours(candidates, options_.max_degree);
+  }
+}
+
+void AnnGraph::AddBackLink(size_t node, int layer, uint32_t source) {
+  std::vector<uint32_t>& links = links_[node][layer];
+  links.push_back(source);
+  if (links.size() > LayerCapacity(layer)) {
+    ShrinkLinks(node, layer, LayerCapacity(layer));
+  }
+}
+
 Status AnnGraph::Insert(std::span<const double> point) {
   if (point.size() != dims_) {
     return Status::InvalidArgument(
         "ann_graph: point width " + std::to_string(point.size()) +
         " != index width " + std::to_string(dims_));
   }
-  const size_t index = rows_;
-  data_.insert(data_.end(), point.begin(), point.end());
-  const std::span<const double> stored(data_.data() + index * dims_, dims_);
-  const double norm = kernels::SquaredNorm(stored);
-  norms_.push_back(norm);
-  const int level = LevelForIndex(index);
-  levels_.push_back(level);
-  links_.emplace_back(static_cast<size_t>(level) + 1);
-  ++rows_;
-
-  if (index == 0) {
-    entry_ = 0;
-    max_level_ = level;
-    return Status::OK();
-  }
-
-  // Phase 1: greedy descent through the layers above the new node's
-  // top layer, homing in on its neighbourhood.
-  Neighbour best{entry_, DistSq(stored, norm, entry_)};
-  for (int layer = max_level_; layer > level; --layer) {
-    GreedyStep(stored, norm, layer, &best);
-  }
-
-  // Phase 2: on each shared layer, beam-search ef_construction
-  // candidates, link to a diverse subset, and shrink any neighbour list
-  // the back-links pushed past its capacity.
-  for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
-    std::vector<Neighbour> candidates =
-        SearchLayer(stored, norm, best, options_.ef_construction, layer);
-    std::vector<uint32_t> selected =
-        SelectNeighbours(candidates, options_.max_degree);
-    links_[index][layer] = selected;
-    for (uint32_t nb : selected) {
-      std::vector<uint32_t>& back = links_[nb][layer];
-      back.push_back(static_cast<uint32_t>(index));
-      if (back.size() > LayerCapacity(layer)) {
-        ShrinkLinks(nb, layer, LayerCapacity(layer));
-      }
-    }
-    best = candidates.front();  // nearest found seeds the next layer
-  }
-
-  if (level > max_level_) {
-    entry_ = static_cast<uint32_t>(index);
-    max_level_ = level;
-  }
-  return Status::OK();
+  AppendPoint(point);
+  // A batch of one row, on the calling thread: its frozen graph is every
+  // earlier row.
+  ParallelOptions one_lane;
+  one_lane.num_threads = 1;
+  return LinkBatch(rows_ - 1, rows_, ExecutionContext::Unlimited(),
+                   "ann_graph", one_lane);
 }
 
 void AnnGraph::GreedyStep(std::span<const double> query, double query_norm,
@@ -213,7 +328,7 @@ std::vector<Neighbour> AnnGraph::SearchLayer(std::span<const double> query,
                                              Neighbour start, size_t ef,
                                              int layer) const {
   AnnScratch& scratch = tls_ann;
-  scratch.Begin(this, rows_);
+  scratch.Begin(rows_);
   scratch.Visit(start.index);
   scratch.candidates.push_back(start);
   PushBoundedNeighbour(&scratch.results, ef, start);
@@ -339,6 +454,12 @@ size_t AnnGraph::EdgeCount() const {
     for (const std::vector<uint32_t>& layer : node) edges += layer.size();
   }
   return edges;
+}
+
+std::span<const uint32_t> AnnGraph::Links(size_t node, size_t layer) const {
+  TRANSER_CHECK(node < rows_);
+  if (layer >= links_[node].size()) return {};
+  return links_[node][layer];
 }
 
 std::vector<Neighbour> AnnGraph::Query(std::span<const double> query,

@@ -10,55 +10,68 @@
 #include "knn/knn_backend.h"
 #include "linalg/matrix.h"
 #include "util/execution_context.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace transer {
 
 /// \brief Approximate k-NN over a hierarchical navigable small-world
 /// graph [Malkov & Yashunin 2018] — the sub-linear candidate search
-/// that keeps SEL viable at millions of instances (ROADMAP item 5).
+/// that keeps SEL viable at millions of instances.
 ///
 /// Determinism contract (DESIGN.md §14): the graph is a pure function
-/// of (insert order, options, seed). Levels come from a SplitMix64 hash
-/// of (seed, row index) — never from a shared RNG stream — the build is
-/// strictly sequential in row order, and every candidate set is ordered
-/// by the canonical (distance, index) comparator, so repeated builds
-/// are byte-identical. Queries only read the graph; QueryBatch chunks
-/// rows over the parallel runtime, so answers are bit-identical at any
-/// thread count. Unlike the exact backends the *answers* are
-/// approximate: the search explores a beam of `ef` candidates and
-/// returns the best k found, trading recall for a roughly
-/// O(ef · M · log n) query instead of O(n).
+/// of (points, options, seed) at any lane count. Levels come from a
+/// SplitMix64 hash of (seed, row index) — never from a shared RNG
+/// stream — and every candidate set is ordered by the canonical
+/// (distance, index) comparator. A matrix build (constructor or Create)
+/// inserts rows in batches whose boundaries depend only on the row
+/// count: each row of a batch searches the graph frozen at the batch
+/// start in parallel, scans its earlier batch-mates exactly and picks
+/// its links; back-links are then applied per target node, in insert
+/// order, in parallel across nodes. No step reads state another lane
+/// writes, so builds at 1, 2 or 8 lanes are byte-identical. Queries
+/// only read the graph; QueryBatch chunks rows over the parallel
+/// runtime, so answers are bit-identical at any thread count. Unlike
+/// the exact backends the *answers* are approximate: the search
+/// explores a beam of `ef` candidates and returns the best k found,
+/// trading recall for a roughly O(ef · M · log n) query instead of
+/// O(n).
 ///
 /// The graph is grow-only: Insert appends one point and links it
-/// immediately (no rebuild, no tombstones), which is what the streaming
-/// path (stream/dynamic_knn) needs. Insert is not thread-safe and must
-/// not race queries; the streaming resolver already serialises applies.
+/// immediately as a batch of one (no rebuild, no tombstones), which is
+/// what the streaming path (stream/dynamic_knn) needs; a sequence of
+/// Inserts is a pure function of the insert stream, so replay is
+/// deterministic. Insert is not thread-safe and must not race queries;
+/// the streaming resolver already serialises applies.
 class AnnGraph : public KnnBackend {
  public:
   /// An empty grow-only graph over `dimensions`-wide points.
   AnnGraph(size_t dimensions, AnnGraphOptions options = {});
 
-  /// Builds over all rows of `points` (copied) by sequential insertion.
+  /// Builds over all rows of `points` (copied) by batched insertion on
+  /// the calling thread — the build of Create, without a budget.
   explicit AnnGraph(const Matrix& points, AnnGraphOptions options = {});
 
-  /// Budgeted build mirroring KdTree::Create: reserves the estimated
-  /// storage against `context` for the graph's lifetime and polls the
-  /// deadline / cancellation between inserts, so an expiring budget
-  /// surfaces as 'ME' / 'TE' instead of an over-budget index.
+  /// Budgeted build mirroring KdTree::Create, on `num_threads` lanes
+  /// (0 = process default; the graph does not depend on it): reserves
+  /// the estimated storage against `context` for the graph's lifetime
+  /// and polls the deadline / cancellation from every lane, so an
+  /// expiring budget surfaces as 'ME' / 'TE' (with the reservation
+  /// released) instead of an over-budget index.
   static Result<AnnGraph> Create(const Matrix& points,
                                  const AnnGraphOptions& options,
                                  const ExecutionContext& context,
                                  const std::string& scope = "ann_graph",
-                                 RunDiagnostics* diagnostics = nullptr);
+                                 RunDiagnostics* diagnostics = nullptr,
+                                 int num_threads = 1);
 
   /// Estimated resident bytes of the graph over `points` (budgeting).
   static size_t StorageBytes(const Matrix& points,
                              const AnnGraphOptions& options);
 
-  /// Appends one point and links it into the graph. The first insert of
-  /// a dimension-constructed graph fixes nothing further; mismatching
-  /// widths fail with InvalidArgument.
+  /// Appends one point and links it into the graph as a batch of one
+  /// row, on the calling thread. Mismatching widths fail with
+  /// InvalidArgument.
   Status Insert(std::span<const double> point);
 
   // --- KnnBackend ---
@@ -90,6 +103,9 @@ class AnnGraph : public KnnBackend {
   size_t GraphBytes() const;
   /// Total directed edges over all layers (telemetry).
   size_t EdgeCount() const;
+  /// Node `node`'s adjacency on `layer` in stored order; empty above the
+  /// node's top layer. Lets tests compare whole graphs byte for byte.
+  std::span<const uint32_t> Links(size_t node, size_t layer) const;
 
  private:
   /// Links of one node: adjacency per layer, layer 0 first. Layer 0
@@ -99,6 +115,35 @@ class AnnGraph : public KnnBackend {
   /// Deterministic level for row `index`: geometric with mean
   /// 1/ln(max_degree), from a SplitMix64 hash of (seed, index).
   int LevelForIndex(size_t index) const;
+
+  /// Stores `point` as row rows_: coordinates, norm, level and empty
+  /// per-layer link lists. The row is unlinked until its batch runs.
+  void AppendPoint(std::span<const double> point);
+
+  /// Appends every row of `points` and links them batch by batch.
+  Status Build(const Matrix& points, const ExecutionContext& context,
+               const std::string& scope, RunDiagnostics* diagnostics,
+               int num_threads);
+
+  /// Links the appended rows [begin, end) as one batch. Phase 1, in
+  /// parallel over rows: LinkForward. Phase 2, in parallel over target
+  /// nodes: each node receives its back-links in insert order, shrinking
+  /// after every addition that overflows it. Then the entry point moves
+  /// to the first row that reached a new top layer.
+  Status LinkBatch(size_t begin, size_t end, const ExecutionContext& context,
+                   const std::string& scope, const ParallelOptions& lanes);
+
+  /// Sets the forward links of row `index` in the batch starting at
+  /// `batch_begin`: descends and beam-searches the graph as it stood at
+  /// `batch_begin`, merges exact distances to the batch-mates in
+  /// [batch_begin, index), and keeps SelectNeighbours of the ef best per
+  /// layer. Reads only rows < batch_begin's lists; writes only row
+  /// `index`'s.
+  void LinkForward(size_t index, size_t batch_begin);
+
+  /// Appends `source` to node `node`'s layer-`layer` list, shrinking the
+  /// list when it exceeds LayerCapacity. Touches no other node's list.
+  void AddBackLink(size_t node, int layer, uint32_t source);
 
   double DistSq(std::span<const double> query, double query_norm,
                 size_t row) const;
@@ -123,7 +168,8 @@ class AnnGraph : public KnnBackend {
       const std::vector<Neighbour>& candidates, size_t max_keep) const;
 
   /// Re-applies SelectNeighbours to node `node`'s layer-`layer` list
-  /// after a back-link pushed it past its capacity.
+  /// after a back-link pushed it past its capacity. Reads only that list
+  /// and the stored points.
   void ShrinkLinks(size_t node, int layer, size_t max_keep);
 
   size_t LayerCapacity(int layer) const {

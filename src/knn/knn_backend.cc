@@ -70,7 +70,8 @@ Result<std::unique_ptr<KnnBackend>> CreateKnnBackend(
     case KnnBackendKind::kAnnGraph: {
       TRANSER_ASSIGN_OR_RETURN(
           AnnGraph graph,
-          AnnGraph::Create(points, options.ann, context, scope, diagnostics));
+          AnnGraph::Create(points, options.ann, context, scope, diagnostics,
+                           options.num_threads));
       return std::unique_ptr<KnnBackend>(
           std::make_unique<AnnGraph>(std::move(graph)));
     }

@@ -127,8 +127,9 @@ struct AnnGraphOptions {
 struct KnnBackendOptions {
   KnnBackendKind kind = KnnBackendKind::kKdTree;
   AnnGraphOptions ann;
-  /// Build lanes (KD-tree subtree builds). Graph build is serial by
-  /// construction; queries parallelise in QueryBatch regardless.
+  /// Build lanes (0 = process default): KD-tree subtree builds and the
+  /// ANN graph's batched inserts. Neither index depends on the lane
+  /// count; queries parallelise in QueryBatch regardless.
   int num_threads = 1;
 };
 

@@ -1,14 +1,17 @@
 // Tests for the approximate k-NN backend (knn/ann_graph) and the
 // unified backend factory (knn/knn_backend): determinism (bit-identity
-// across thread counts, repeated builds, and incremental vs batch
-// construction), measured recall against the exact backends, the
-// exact-fallback contract at recall_target == 1.0, budget enforcement,
+// of queries across thread counts, of batched builds across lane
+// counts, of repeated builds, and of the matrix constructor vs Create),
+// measured recall against the exact backends, the exact-fallback
+// contract at recall_target == 1.0, budget and deadline enforcement,
 // and the end-to-end SEL quality bound under the approximate backend.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,6 +66,22 @@ double MeasuredRecall(
   return total == 0 ? 1.0 : static_cast<double>(hit) / total;
 }
 
+// Same nodes with the same adjacency lists, in the same order, on
+// every layer.
+void ExpectSameGraph(const AnnGraph& a, const AnnGraph& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.max_level(), b.max_level());
+  EXPECT_EQ(a.EdgeCount(), b.EdgeCount());
+  for (size_t node = 0; node < a.size(); ++node) {
+    for (size_t layer = 0; layer <= a.max_level(); ++layer) {
+      const std::span<const uint32_t> la = a.Links(node, layer);
+      const std::span<const uint32_t> lb = b.Links(node, layer);
+      ASSERT_TRUE(std::equal(la.begin(), la.end(), lb.begin(), lb.end()))
+          << "node " << node << " layer " << layer;
+    }
+  }
+}
+
 void ExpectSameAnswers(const std::vector<std::vector<Neighbour>>& a,
                        const std::vector<std::vector<Neighbour>>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -86,18 +105,27 @@ TEST(AnnGraphTest, RecallMeetsTargetOnClusteredSet) {
 
   AnnGraphOptions options;
   options.recall_target = 0.9;
-  AnnGraph graph(points, options);
-
   BruteForceKnn exact(points);
   const auto truth =
       exact.QueryBatch(queries, k, ExecutionContext::Unlimited());
-  const auto approx =
-      graph.QueryBatch(queries, k, ExecutionContext::Unlimited());
   ASSERT_TRUE(truth.ok());
-  ASSERT_TRUE(approx.ok());
-  const double recall = MeasuredRecall(truth.value(), approx.value());
-  EXPECT_GE(recall, options.recall_target)
-      << "beam ef=" << graph.EffectiveEf(k);
+
+  // Both construction paths: the batched matrix build, and the
+  // streaming path growing the graph one Insert at a time.
+  AnnGraph batched(points, options);
+  AnnGraph grown(points.cols(), options);
+  for (size_t r = 0; r < points.rows(); ++r) {
+    ASSERT_TRUE(grown.Insert(RowSpan(points, r)).ok());
+  }
+  for (const AnnGraph* graph : {&batched, &grown}) {
+    SCOPED_TRACE(graph == &batched ? "matrix build" : "Insert");
+    const auto approx =
+        graph->QueryBatch(queries, k, ExecutionContext::Unlimited());
+    ASSERT_TRUE(approx.ok());
+    const double recall = MeasuredRecall(truth.value(), approx.value());
+    EXPECT_GE(recall, options.recall_target)
+        << "beam ef=" << graph->EffectiveEf(k);
+  }
 }
 
 TEST(AnnGraphTest, WiderBeamNeverLosesRecall) {
@@ -159,18 +187,54 @@ TEST(AnnGraphTest, BitIdenticalAcrossRepeatedBuilds) {
   ExpectSameAnswers(a.value(), b.value());
 }
 
-TEST(AnnGraphTest, IncrementalInsertMatchesBatchBuild) {
+TEST(AnnGraphTest, BuildBitIdenticalAcrossLaneCounts) {
+  // 3000 rows span 20 insertion batches: the doubling prefix, then
+  // full-size batches whose rows search, link and back-link in parallel.
+  const Matrix points = ClusteredPoints(3000, 12, 16, 97);
+  AnnGraphOptions options;
+  options.ef_search = 12;  // a narrow beam makes answers graph-sensitive
+  std::vector<std::unique_ptr<AnnGraph>> graphs;
+  for (int lanes : {1, 2, 8}) {
+    auto built = AnnGraph::Create(points, options,
+                                  ExecutionContext::Unlimited(), "ann_graph",
+                                  nullptr, lanes);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    graphs.push_back(std::make_unique<AnnGraph>(std::move(built).value()));
+  }
+  const auto reference = graphs[0]->QueryBatch(
+      points, 10, ExecutionContext::Unlimited(), "knn", {},
+      /*skip_self=*/true);
+  ASSERT_TRUE(reference.ok());
+  for (size_t g = 1; g < graphs.size(); ++g) {
+    SCOPED_TRACE(g);
+    ExpectSameGraph(*graphs[0], *graphs[g]);
+    const auto answers = graphs[g]->QueryBatch(
+        points, 10, ExecutionContext::Unlimited(), "knn", {},
+        /*skip_self=*/true);
+    ASSERT_TRUE(answers.ok());
+    ExpectSameAnswers(reference.value(), answers.value());
+  }
+}
+
+TEST(AnnGraphTest, MatrixConstructorMatchesCreate) {
+  // One build path: the unbudgeted constructor (one lane) and Create (4
+  // lanes) produce the same graph. Sequential Insert is a different
+  // construction order; RecallMeetsTargetOnClusteredSet holds it to the
+  // recall floor and the DynamicKnnAnnTest cases to replay determinism.
   const Matrix points = ClusteredPoints(600, 6, 8, 79);
   const Matrix queries = ClusteredPoints(50, 6, 8, 80);
-  AnnGraph batch(points);
-  AnnGraph grown(points.cols());
-  for (size_t r = 0; r < points.rows(); ++r) {
-    ASSERT_TRUE(grown.Insert(RowSpan(points, r)).ok());
-  }
-  EXPECT_EQ(batch.size(), grown.size());
-  EXPECT_EQ(batch.EdgeCount(), grown.EdgeCount());
-  const auto a = batch.QueryBatch(queries, 5, ExecutionContext::Unlimited());
-  const auto b = grown.QueryBatch(queries, 5, ExecutionContext::Unlimited());
+  AnnGraphOptions options;
+  options.ef_search = 8;
+  AnnGraph constructed(points, options);
+  auto created = AnnGraph::Create(points, options,
+                                  ExecutionContext::Unlimited(), "ann_graph",
+                                  nullptr, /*num_threads=*/4);
+  ASSERT_TRUE(created.ok());
+  ExpectSameGraph(constructed, created.value());
+  const auto a =
+      constructed.QueryBatch(queries, 5, ExecutionContext::Unlimited());
+  const auto b =
+      created.value().QueryBatch(queries, 5, ExecutionContext::Unlimited());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectSameAnswers(a.value(), b.value());
@@ -274,6 +338,23 @@ TEST(AnnGraphTest, BudgetedCreateSucceedsWithinBudget) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().size(), points.rows());
   EXPECT_GT(result.value().GraphBytes(), 0u);
+}
+
+TEST(AnnGraphTest, BudgetedCreateDeadlineExpiresMidBuild) {
+  // The build takes far longer than 20 ms at any lane count, so the
+  // deadline passes the entry check, then trips inside the batches.
+  const Matrix points = ClusteredPoints(30000, 16, 32, 98);
+  ExecutionContext context({/*time=*/0.02, /*memory=*/1ull << 30});
+  RunDiagnostics diagnostics;
+  const auto result = AnnGraph::Create(points, {}, context, "ann_graph",
+                                       &diagnostics, /*num_threads=*/4);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("(TE)"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_TRUE(diagnostics.HasKind(DegradationKind::kTimeLimitExceeded));
+  EXPECT_GE(context.peak_reserved_bytes(),
+            AnnGraph::StorageBytes(points, {}));  // reserved, then built
+  EXPECT_EQ(context.reserved_bytes(), 0u);        // and released on failure
 }
 
 TEST(AnnGraphTest, QueryObservesExpiredContext) {
