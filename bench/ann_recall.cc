@@ -109,9 +109,9 @@ bool SameAnswers(const std::vector<std::vector<Neighbour>>& a,
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(
+  const Flags flags(
       argc, argv, {"quick", "threads", "recall", "ef-search", "out"});
-  const int threads = bench::ConfigureThreads(flags);
+  const int threads = ConfigureThreads(flags);
   const bool quick = flags.GetBool("quick", false);
   const double recall_target = flags.GetDouble("recall", 0.95);
   const size_t ef_search =

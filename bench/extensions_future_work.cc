@@ -36,8 +36,9 @@ ClassifierFactory MakeRfFactory() {
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv, {"scale", "seed", "budget", "labeled", "threads"});
-  const int threads = bench::ConfigureThreads(flags);
+  const Flags flags(argc, argv,
+                    {"scale", "seed", "budget", "labeled", "threads"});
+  const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("extensions", threads);
   Stopwatch run_watch;
   ScenarioScale scale;

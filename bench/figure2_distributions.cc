@@ -34,8 +34,8 @@ void PrintHistogram(const std::string& title, const FeatureMatrix& x,
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv, {"scale", "seed", "bins", "threads"});
-  const int threads = bench::ConfigureThreads(flags);
+  const Flags flags(argc, argv, {"scale", "seed", "bins", "threads"});
+  const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("figure2", threads);
   Stopwatch run_watch;
   ScenarioScale scale;

@@ -16,8 +16,8 @@ namespace transer {
 namespace {
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv, {"threads"});
-  const int threads = bench::ConfigureThreads(flags);
+  const Flags flags(argc, argv, {"threads"});
+  const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("figure5", threads);
   Stopwatch run_watch;
   std::printf(

@@ -44,8 +44,8 @@ std::vector<Sweep> Sweeps() {
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv, {"scale", "seed", "threads"});
-  const int threads = bench::ConfigureThreads(flags);
+  const Flags flags(argc, argv, {"scale", "seed", "threads"});
+  const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("figure7", threads);
   Stopwatch run_watch;
   ScenarioScale scale;

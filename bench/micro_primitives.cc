@@ -208,9 +208,9 @@ class Harness {
 };
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv,
+  const Flags flags(argc, argv,
                            {"quick", "threads", "out", "dims", "pair-dims"});
-  const int threads = bench::ConfigureThreads(flags);
+  const int threads = ConfigureThreads(flags);
   const bool quick = flags.GetBool("quick", false);
   const std::string out_path = flags.GetString("out", "BENCH_kernels.json");
   const size_t elem_dims = static_cast<size_t>(flags.GetInt("dims", 128));

@@ -52,7 +52,7 @@ std::string ScalarCounterpartName(const std::string& name) {
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(
+  const Flags flags(
       argc, argv,
       {"baseline", "candidate", "threshold", "kernel-slack", "report-only"});
   const std::string baseline_path = flags.GetString("baseline", "");

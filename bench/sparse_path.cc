@@ -75,8 +75,8 @@ double LogLossObjective(const Matrix& x, const std::vector<int>& y,
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv, {"quick", "threads", "out"});
-  const int threads = bench::ConfigureThreads(flags);
+  const Flags flags(argc, argv, {"quick", "threads", "out"});
+  const int threads = ConfigureThreads(flags);
   const bool quick = flags.GetBool("quick", false);
   const std::string out_path = flags.GetString("out", "BENCH_sparse.json");
 

@@ -18,8 +18,8 @@ namespace transer {
 namespace {
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv, {"scale", "seed", "threads"});
-  const int threads = bench::ConfigureThreads(flags);
+  const Flags flags(argc, argv, {"scale", "seed", "threads"});
+  const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("table1", threads);
   Stopwatch run_watch;
   ScenarioScale scale;

@@ -46,12 +46,12 @@ std::string Cell(const MethodScenarioResult& result,
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv,
+  const Flags flags(argc, argv,
                            {"scale", "seed", "time-limit",
                             "memory-limit-mb", "checkpoint", "threads",
                             "warm-start", "sparse", "knn-backend",
                             "recall", "ef-search"});
-  const int threads = bench::ConfigureThreads(flags);
+  const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("table2", threads);
   ScenarioScale scale;
   scale.scale = flags.GetDouble("scale", 0.015);

@@ -41,12 +41,12 @@ namespace transer {
 namespace {
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv,
+  const Flags flags(argc, argv,
                            {"scale", "seed", "time-limit",
                             "memory-limit-mb", "checkpoint", "threads",
                             "skip-speedup", "warm-start", "sparse",
                             "knn-backend", "recall", "ef-search"});
-  const int threads = bench::ConfigureThreads(flags);
+  const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("table3", threads);
   ScenarioScale scale;
   scale.scale = flags.GetDouble("scale", 0.015);

@@ -55,8 +55,8 @@ std::vector<Variant> Variants() {
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv, {"scale", "seed", "threads"});
-  const int threads = bench::ConfigureThreads(flags);
+  const Flags flags(argc, argv, {"scale", "seed", "threads"});
+  const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("table4", threads);
   Stopwatch run_watch;
   ScenarioScale scale;

@@ -11,7 +11,7 @@
 //       [--threads=<N>] [--sparse]
 //       [--knn-backend=kdtree|brute|ann] [--recall=0.95] [--ef-search=N]
 //       [--save-model=model.tera] [--load-model=model.tera]
-//       [--version]
+//       [--help] [--version]
 //
 // --knn-backend picks the index behind SEL's neighbourhood scans:
 // kdtree (default) and brute are exact; ann is the navigable-graph
@@ -40,7 +40,8 @@
 // Exit codes:
 //   0  success
 //   1  load or run failure (bad CSV file, internal error)
-//   2  invalid flags / hyper-parameters
+//   2  invalid flags / hyper-parameters (unknown flags and positional
+//      arguments included)
 //   3  resource budget exhausted (--time-limit-s or --memory-limit-mb)
 //   4  unrecoverable model-artifact error (serving from a missing or
 //      corrupt snapshot, or --save-model could not write)
@@ -75,36 +76,11 @@
 #include "ml/model_store.h"
 #include "ml/naive_bayes.h"
 #include "ml/random_forest.h"
-#include "util/build_info.h"
-#include "util/parallel.h"
-#include "util/string_util.h"
+#include "util/flags.h"
 #include "util/validation.h"
 
 namespace transer {
 namespace {
-
-std::string GetFlag(int argc, char** argv, const std::string& name,
-                    const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (StartsWith(argv[i], prefix)) {
-      return std::string(argv[i]).substr(prefix.size());
-    }
-  }
-  return fallback;
-}
-
-double GetDoubleFlag(int argc, char** argv, const std::string& name,
-                     double fallback) {
-  const std::string raw = GetFlag(argc, argv, name, "");
-  double value = fallback;
-  if (!raw.empty() && !ParseDouble(raw, &value)) {
-    std::fprintf(stderr, "bad value for --%s: %s\n", name.c_str(),
-                 raw.c_str());
-    std::exit(2);
-  }
-  return value;
-}
 
 // Exits with code 2 when a hyper-parameter is outside its valid range;
 // proceeding with an out-of-range threshold would silently produce
@@ -206,7 +182,7 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "    [--knn-backend=kdtree|brute|ann] [--recall=0.95]\n"
       "    [--ef-search=N]\n"
       "    [--save-model=model.tera] [--load-model=model.tera]\n"
-      "    [--version]\n"
+      "    [--help] [--version]\n"
       "\n"
       "--knn-backend picks the SEL neighbourhood index: kdtree (the\n"
       "default) and brute are exact, ann is the approximate graph index\n"
@@ -233,7 +209,7 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "exit codes:\n"
       "  0  success\n"
       "  1  load or run failure (bad CSV file, internal error)\n"
-      "  2  invalid flags / hyper-parameters\n"
+      "  2  invalid flags / hyper-parameters (unknown flags included)\n"
       "  3  resource budget exhausted (time or memory limit hit)\n"
       "  4  unrecoverable model-artifact error\n",
       prog);
@@ -242,7 +218,7 @@ void PrintUsage(std::FILE* out, const char* prog) {
 /// Prints the prediction summary, the optional quality-vs-labels line,
 /// and writes --out when given. Shared by the training and serving
 /// paths.
-int EmitPredictions(int argc, char** argv, const FeatureMatrix& target,
+int EmitPredictions(const std::string& out_path, const FeatureMatrix& target,
                     const std::vector<int>& predicted) {
   size_t predicted_matches = 0;
   for (int label : predicted) predicted_matches += label == 1;
@@ -257,7 +233,6 @@ int EmitPredictions(int argc, char** argv, const FeatureMatrix& target,
                     .c_str());
   }
 
-  const std::string out_path = GetFlag(argc, argv, "out", "");
   if (!out_path.empty()) {
     const FeatureMatrix labelled = target.WithLabels(predicted);
     const Status status = labelled.ToCsvFile(out_path);
@@ -271,27 +246,22 @@ int EmitPredictions(int argc, char** argv, const FeatureMatrix& target,
   return 0;
 }
 
-bool HasFlag(int argc, char** argv, const char* name) {
-  const std::string bare = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i]) return true;
-  }
-  return false;
-}
-
 int Main(int argc, char** argv) {
-  if (HasFlag(argc, argv, "help")) {
+  const Flags flags(
+      argc, argv,
+      {"source", "target", "out", "classifier", "tc", "tl", "tp", "k", "b",
+       "on-error", "time-limit-s", "memory-limit-mb", "threads", "sparse",
+       "knn-backend", "recall", "ef-search", "save-model", "load-model",
+       "help", "version"});
+  if (flags.GetBool("help", false)) {
     PrintUsage(stdout, argv[0]);
     return 0;
   }
-  if (HasFlag(argc, argv, "version")) {
-    std::printf("%s\n", FormatVersion("transer_csv_tool").c_str());
-    return 0;
-  }
-  const std::string source_path = GetFlag(argc, argv, "source", "");
-  const std::string target_path = GetFlag(argc, argv, "target", "");
-  const std::string save_model = GetFlag(argc, argv, "save-model", "");
-  const std::string load_model = GetFlag(argc, argv, "load-model", "");
+  const std::string source_path = flags.GetString("source", "");
+  const std::string target_path = flags.GetString("target", "");
+  const std::string save_model = flags.GetString("save-model", "");
+  const std::string load_model = flags.GetString("load-model", "");
+  const std::string out_path = flags.GetString("out", "");
   // Serving mode: a snapshot replaces the source domain entirely.
   const bool serving = !load_model.empty() && source_path.empty();
   if (target_path.empty() || (source_path.empty() && !serving)) {
@@ -307,39 +277,37 @@ int Main(int argc, char** argv) {
 
   // Resolve and validate everything that can exit(2) before any I/O.
   TransEROptions options;
-  options.t_c = GetDoubleFlag(argc, argv, "tc", options.t_c);
-  options.t_l = GetDoubleFlag(argc, argv, "tl", options.t_l);
-  options.t_p = GetDoubleFlag(argc, argv, "tp", options.t_p);
+  options.t_c = flags.GetDouble("tc", options.t_c);
+  options.t_l = flags.GetDouble("tl", options.t_l);
+  options.t_p = flags.GetDouble("tp", options.t_p);
   RequireUnitInterval("tc", options.t_c);
   RequireUnitInterval("tl", options.t_l);
   RequireUnitInterval("tp", options.t_p);
-  const double k_raw =
-      GetDoubleFlag(argc, argv, "k", static_cast<double>(options.k));
+  const double k_raw = flags.GetDouble("k", static_cast<double>(options.k));
   if (!(k_raw >= 1.0) || k_raw != std::floor(k_raw)) {
     std::fprintf(stderr, "--k=%g is invalid: must be an integer >= 1\n",
                  k_raw);
     return 2;
   }
   options.k = static_cast<size_t>(k_raw);
-  options.b = GetDoubleFlag(argc, argv, "b", options.b);
+  options.b = flags.GetDouble("b", options.b);
   if (!(options.b > 0.0)) {
     std::fprintf(stderr, "--b=%g is invalid: must be > 0\n", options.b);
     return 2;
   }
-  const bool sparse = HasFlag(argc, argv, "sparse");
+  const bool sparse = flags.GetBool("sparse", false);
   const ClassifierFactory factory = MakeFactory(
-      GetFlag(argc, argv, "classifier", sparse ? "lr" : "rf"), sparse);
+      flags.GetString("classifier", sparse ? "lr" : "rf"), sparse);
 
   TransferRunOptions run_options;
   run_options.sparse_features = sparse;
-  run_options.time_limit_seconds =
-      GetDoubleFlag(argc, argv, "time-limit-s", 0.0);
+  run_options.time_limit_seconds = flags.GetDouble("time-limit-s", 0.0);
   if (run_options.time_limit_seconds < 0.0) {
     std::fprintf(stderr, "--time-limit-s=%g is invalid: must be >= 0\n",
                  run_options.time_limit_seconds);
     return 2;
   }
-  const double memory_mb = GetDoubleFlag(argc, argv, "memory-limit-mb", 0.0);
+  const double memory_mb = flags.GetDouble("memory-limit-mb", 0.0);
   if (memory_mb < 0.0 || memory_mb != std::floor(memory_mb)) {
     std::fprintf(stderr,
                  "--memory-limit-mb=%g is invalid: must be an integer >= 0\n",
@@ -347,18 +315,10 @@ int Main(int argc, char** argv) {
     return 2;
   }
   run_options.memory_limit_bytes = static_cast<size_t>(memory_mb) << 20;
-  const double threads_raw = GetDoubleFlag(argc, argv, "threads", 0.0);
-  if (threads_raw < 0.0 || threads_raw != std::floor(threads_raw)) {
-    std::fprintf(stderr,
-                 "--threads=%g is invalid: must be an integer >= 0\n",
-                 threads_raw);
-    return 2;
-  }
-  SetDefaultThreadCount(static_cast<int>(threads_raw));
-  run_options.num_threads = static_cast<int>(threads_raw);
+  // run_options.num_threads stays 0: the process default set here.
+  ConfigureThreads(flags);
 
-  const std::string backend_raw =
-      GetFlag(argc, argv, "knn-backend", "kdtree");
+  const std::string backend_raw = flags.GetString("knn-backend", "kdtree");
   if (!ParseKnnBackendKind(backend_raw, &run_options.knn_backend)) {
     std::fprintf(stderr,
                  "--knn-backend=%s is invalid (kdtree|brute|ann)\n",
@@ -366,14 +326,14 @@ int Main(int argc, char** argv) {
     return 2;
   }
   run_options.knn_recall_target =
-      GetDoubleFlag(argc, argv, "recall", run_options.knn_recall_target);
+      flags.GetDouble("recall", run_options.knn_recall_target);
   if (!(run_options.knn_recall_target > 0.0 &&
         run_options.knn_recall_target <= 1.0)) {
     std::fprintf(stderr, "--recall=%g is out of range: must be in (0, 1]\n",
                  run_options.knn_recall_target);
     return 2;
   }
-  const double ef_raw = GetDoubleFlag(argc, argv, "ef-search", 0.0);
+  const double ef_raw = flags.GetDouble("ef-search", 0.0);
   if (ef_raw < 0.0 || ef_raw != std::floor(ef_raw)) {
     std::fprintf(stderr,
                  "--ef-search=%g is invalid: must be an integer >= 0\n",
@@ -383,7 +343,7 @@ int Main(int argc, char** argv) {
   run_options.knn_ef_search = static_cast<size_t>(ef_raw);
 
   FeatureMatrix::IngestOptions ingest;
-  const std::string on_error = GetFlag(argc, argv, "on-error", "strict");
+  const std::string on_error = flags.GetString("on-error", "strict");
   auto policy = ParseRepairPolicy(on_error);
   if (!policy.ok()) {
     std::fprintf(stderr, "--on-error=%s is invalid (strict|skip|repair)\n",
@@ -426,7 +386,7 @@ int Main(int argc, char** argv) {
     std::printf("serving %s (%s) from %s; target: %zu\n",
                 has_v ? "C^V" : "C^U", state.classifier_name.c_str(),
                 load_model.c_str(), target.value().size());
-    return EmitPredictions(argc, argv, target.value(),
+    return EmitPredictions(out_path, target.value(),
                            model->PredictAll(target.value().ToMatrix()));
   }
 
@@ -469,7 +429,7 @@ int Main(int argc, char** argv) {
   std::printf("diagnostics: %s\n", report.diagnostics.Summary().c_str());
 
   const int emitted =
-      EmitPredictions(argc, argv, target.value(), predicted.value());
+      EmitPredictions(out_path, target.value(), predicted.value());
   if (emitted != 0) return emitted;
 
   // An explicitly requested snapshot that could not be written is an

@@ -18,6 +18,7 @@
 //       [--bench-out=<BENCH_stream.json path>]
 //       [--crash-after=<seq>
 //        --crash-point=append|apply|rotate|snapshot|retain]
+//       [--threshold=0.75] [--help] [--version]
 //
 // The tool resumes: on start it recovers the directory's journal +
 // snapshot and continues ingesting at the first sequence the state has
@@ -46,8 +47,9 @@
 // followed by the final line "applied=<n> digest=<16-hex> matches=<m>
 // quarantined=<q>" — the LAST line, which the crash matrix parses.
 //
-// Exit codes: 0 success, 1 runtime failure, 2 bad flags. A --crash-after
-// run does not exit at all — it dies by SIGKILL.
+// Exit codes: 0 success, 1 runtime failure, 2 bad flags (unknown flags
+// and positional arguments included). A --crash-after run does not exit
+// at all — it dies by SIGKILL.
 
 #include <chrono>
 #include <csignal>
@@ -59,33 +61,11 @@
 #include "bench/perf_sidecar.h"
 #include "data/record.h"
 #include "stream/stream_ingestor.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 
 namespace transer {
 namespace {
-
-std::string GetFlag(int argc, char** argv, const std::string& name,
-                    const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (StartsWith(argv[i], prefix)) {
-      return std::string(argv[i]).substr(prefix.size());
-    }
-  }
-  return fallback;
-}
-
-int64_t GetIntFlag(int argc, char** argv, const std::string& name,
-                   int64_t fallback) {
-  const std::string raw = GetFlag(argc, argv, name, "");
-  if (raw.empty()) return fallback;
-  int64_t value = 0;
-  if (!ParseInt64(raw, &value)) {
-    std::fprintf(stderr, "bad --%s=%s\n", name.c_str(), raw.c_str());
-    std::exit(2);
-  }
-  return value;
-}
 
 /// The demo stream schema: bibliographic-style records.
 Schema MakeStreamSchema() {
@@ -144,55 +124,73 @@ Record MakeStreamRecord(uint64_t seed, uint64_t i,
   return record;
 }
 
+void PrintUsage(std::FILE* out, const char* prog) {
+  std::fprintf(
+      out,
+      "usage: %s --dir=<state dir> [--count=64] [--seed=7]\n"
+      "    [--snapshot-every=16] [--refresh-every=32] [--rebuild-every=24]\n"
+      "    [--threads=1] [--publish-dir=<serve repo dir>]\n"
+      "    [--poison-every=0] [--writers=1] [--threshold=0.75]\n"
+      "    [--segment-mb=8] [--max-journal-mb=0]\n"
+      "    [--segment-bytes=N] [--max-journal-bytes=N]\n"
+      "    [--knn-backend=kdtree|ann] [--recall=0.95]\n"
+      "    [--bench-out=<BENCH_stream.json path>]\n"
+      "    [--crash-after=<seq>\n"
+      "     --crash-point=append|apply|rotate|snapshot|retain]\n"
+      "    [--help] [--version]\n"
+      "exit codes: 0 success, 1 runtime failure, 2 bad flags\n",
+      prog);
+}
+
 int Run(int argc, char** argv) {
-  const std::string dir = GetFlag(argc, argv, "dir", "");
+  const Flags flags(
+      argc, argv,
+      {"dir", "count", "seed", "snapshot-every", "refresh-every",
+       "rebuild-every", "threads", "publish-dir", "poison-every", "writers",
+       "threshold", "segment-mb", "max-journal-mb", "segment-bytes",
+       "max-journal-bytes", "knn-backend", "recall", "bench-out",
+       "crash-after", "crash-point", "help", "version"});
+  if (flags.GetBool("help", false)) {
+    PrintUsage(stdout, argv[0]);
+    return 0;
+  }
+  const std::string dir = flags.GetString("dir", "");
   if (dir.empty()) {
     std::fprintf(stderr, "--dir is required\n");
     return 2;
   }
-  const uint64_t count =
-      static_cast<uint64_t>(GetIntFlag(argc, argv, "count", 64));
-  const uint64_t seed =
-      static_cast<uint64_t>(GetIntFlag(argc, argv, "seed", 7));
+  const uint64_t count = static_cast<uint64_t>(flags.GetInt("count", 64));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   const size_t poison_every =
-      static_cast<size_t>(GetIntFlag(argc, argv, "poison-every", 0));
-  const int64_t crash_after = GetIntFlag(argc, argv, "crash-after", 0);
-  const std::string crash_point =
-      GetFlag(argc, argv, "crash-point", "append");
+      static_cast<size_t>(flags.GetInt("poison-every", 0));
+  const int64_t crash_after = flags.GetInt("crash-after", 0);
+  const std::string crash_point = flags.GetString("crash-point", "append");
   if (crash_point != "append" && crash_point != "apply" &&
       crash_point != "rotate" && crash_point != "snapshot" &&
       crash_point != "retain") {
     std::fprintf(stderr, "bad --crash-point=%s\n", crash_point.c_str());
     return 2;
   }
-  const size_t writers =
-      static_cast<size_t>(GetIntFlag(argc, argv, "writers", 1));
+  const size_t writers = static_cast<size_t>(flags.GetInt("writers", 1));
   if (writers == 0) {
     std::fprintf(stderr, "--writers must be at least 1\n");
     return 2;
   }
-  const std::string bench_out = GetFlag(argc, argv, "bench-out", "");
+  const std::string bench_out = flags.GetString("bench-out", "");
 
   stream::StreamIngestorOptions options;
   options.directory = dir;
   options.resolver.schema = MakeStreamSchema();
   options.resolver.blocking.key_attribute = 0;
   options.resolver.blocking.prefix_length = 6;  // the "groupN" title token
-  options.resolver.match_threshold = 0.75;
-  const std::string threshold_raw = GetFlag(argc, argv, "threshold", "");
-  if (!threshold_raw.empty() &&
-      !ParseDouble(threshold_raw, &options.resolver.match_threshold)) {
-    std::fprintf(stderr, "bad --threshold=%s\n", threshold_raw.c_str());
-    return 2;
-  }
+  options.resolver.match_threshold = flags.GetDouble("threshold", 0.75);
   options.resolver.refresh_interval =
-      static_cast<size_t>(GetIntFlag(argc, argv, "refresh-every", 32));
+      static_cast<size_t>(flags.GetInt("refresh-every", 32));
   options.resolver.knn.rebuild_interval =
-      static_cast<size_t>(GetIntFlag(argc, argv, "rebuild-every", 24));
+      static_cast<size_t>(flags.GetInt("rebuild-every", 24));
   options.resolver.knn.num_threads =
-      static_cast<int>(GetIntFlag(argc, argv, "threads", 1));
-  const std::string knn_backend =
-      GetFlag(argc, argv, "knn-backend", "kdtree");
+      static_cast<int>(flags.GetInt("threads", 1));
+  const std::string knn_backend = flags.GetString("knn-backend", "kdtree");
   if (knn_backend == "ann" || knn_backend == "ann_graph") {
     options.resolver.knn.backend = stream::DynamicKnnBackend::kAnnGraph;
   } else if (knn_backend != "kdtree" && knn_backend != "kd_tree") {
@@ -200,31 +198,26 @@ int Run(int argc, char** argv) {
                  knn_backend.c_str());
     return 2;
   }
-  const std::string recall_raw = GetFlag(argc, argv, "recall", "");
-  if (!recall_raw.empty()) {
-    double recall = 0.0;
-    if (!ParseDouble(recall_raw, &recall) ||
-        !(recall > 0.0 && recall <= 1.0)) {
-      std::fprintf(stderr, "bad --recall=%s: must be in (0, 1]\n",
-                   recall_raw.c_str());
-      return 2;
-    }
-    options.resolver.knn.ann.recall_target = recall;
+  const double recall =
+      flags.GetDouble("recall", options.resolver.knn.ann.recall_target);
+  if (!(recall > 0.0 && recall <= 1.0)) {
+    std::fprintf(stderr, "bad --recall=%g: must be in (0, 1]\n", recall);
+    return 2;
   }
+  options.resolver.knn.ann.recall_target = recall;
   options.snapshot_interval =
-      static_cast<size_t>(GetIntFlag(argc, argv, "snapshot-every", 16));
-  options.publish_directory = GetFlag(argc, argv, "publish-dir", "");
-  options.max_segment_bytes = static_cast<size_t>(
-      GetIntFlag(argc, argv, "segment-mb", 8)) << 20;
-  options.max_journal_bytes = static_cast<size_t>(
-      GetIntFlag(argc, argv, "max-journal-mb", 0)) << 20;
+      static_cast<size_t>(flags.GetInt("snapshot-every", 16));
+  options.publish_directory = flags.GetString("publish-dir", "");
+  options.max_segment_bytes =
+      static_cast<size_t>(flags.GetInt("segment-mb", 8)) << 20;
+  options.max_journal_bytes =
+      static_cast<size_t>(flags.GetInt("max-journal-mb", 0)) << 20;
   // Byte-granular overrides for tests that rotate within tiny streams.
-  const int64_t segment_bytes = GetIntFlag(argc, argv, "segment-bytes", 0);
+  const int64_t segment_bytes = flags.GetInt("segment-bytes", 0);
   if (segment_bytes > 0) {
     options.max_segment_bytes = static_cast<size_t>(segment_bytes);
   }
-  const int64_t journal_bytes =
-      GetIntFlag(argc, argv, "max-journal-bytes", 0);
+  const int64_t journal_bytes = flags.GetInt("max-journal-bytes", 0);
   if (journal_bytes > 0) {
     options.max_journal_bytes = static_cast<size_t>(journal_bytes);
   }

@@ -43,9 +43,12 @@
 //                              still demands zero lost well-formed
 //                              requests across the swap
 //
+// --help prints the usage, --version the build identity.
+//
 // Exit codes: 0 success (soak: every well-formed request answered),
-// 1 transport/load failure, 2 invalid flags, 4 request rejected
-// (single-request client mode).
+// 1 transport/load failure, 2 invalid flags (unknown flags and
+// positional arguments included), 4 request rejected (single-request
+// client mode).
 
 #include <poll.h>
 #include <signal.h>
@@ -65,56 +68,12 @@
 #include "features/feature_matrix.h"
 #include "knn/knn_backend.h"
 #include "serve/server_core.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/string_util.h"
 
 namespace transer {
 namespace {
-
-std::string GetFlag(int argc, char** argv, const std::string& name,
-                    const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (StartsWith(argv[i], prefix)) {
-      return std::string(argv[i]).substr(prefix.size());
-    }
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  const std::string bare = std::string("--") + name;
-  const std::string prefix = bare + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == bare || StartsWith(argv[i], prefix)) return true;
-  }
-  return false;
-}
-
-double GetDoubleFlag(int argc, char** argv, const std::string& name,
-                     double fallback, bool* ok) {
-  const std::string raw = GetFlag(argc, argv, name, "");
-  if (raw.empty()) return fallback;
-  double value = fallback;
-  if (!ParseDouble(raw, &value)) {
-    std::fprintf(stderr, "bad --%s=%s\n", name.c_str(), raw.c_str());
-    *ok = false;
-  }
-  return value;
-}
-
-int64_t GetIntFlag(int argc, char** argv, const std::string& name,
-                   int64_t fallback, bool* ok) {
-  const std::string raw = GetFlag(argc, argv, name, "");
-  if (raw.empty()) return fallback;
-  int64_t value = fallback;
-  if (!ParseInt64(raw, &value)) {
-    std::fprintf(stderr, "bad --%s=%s\n", name.c_str(), raw.c_str());
-    *ok = false;
-  }
-  return value;
-}
 
 // --- socket plumbing --------------------------------------------------
 
@@ -212,25 +171,22 @@ void ServeConnection(serve::ServerCore* core, int fd) {
   ::close(fd);
 }
 
-int RunServer(int argc, char** argv) {
-  bool flags_ok = true;
+int RunServer(const Flags& flags) {
   serve::ServerOptions options;
-  options.repository.directory = GetFlag(argc, argv, "models", "");
+  options.repository.directory = flags.GetString("models", "");
   options.repository.refresh_interval_seconds =
-      GetDoubleFlag(argc, argv, "refresh-s", 2.0, &flags_ok);
+      flags.GetDouble("refresh-s", 2.0);
   options.repository.min_probe_similarity =
-      GetDoubleFlag(argc, argv, "min-probe-sim", 0.5, &flags_ok);
+      flags.GetDouble("min-probe-sim", 0.5);
   // Index behind rebuilt knn-family classifiers: exact KD-tree unless
   // the operator opts into the approximate graph for lookup latency.
-  const std::string backend_raw =
-      GetFlag(argc, argv, "knn-backend", "kdtree");
+  const std::string backend_raw = flags.GetString("knn-backend", "kdtree");
   if (!ParseKnnBackendKind(backend_raw, &options.repository.knn.kind)) {
     std::fprintf(stderr, "unknown --knn-backend '%s' (kdtree|brute|ann)\n",
                  backend_raw.c_str());
     return 2;
   }
-  const double recall =
-      GetDoubleFlag(argc, argv, "recall", 0.95, &flags_ok);
+  const double recall = flags.GetDouble("recall", 0.95);
   if (!(recall > 0.0 && recall <= 1.0)) {
     std::fprintf(stderr, "--recall must be in (0, 1], got %g\n", recall);
     return 2;
@@ -239,24 +195,19 @@ int RunServer(int argc, char** argv) {
   // Artifact loads run outside any parallel region, so the rebuilt
   // index may use every lane (the process default).
   options.repository.knn.num_threads = 0;
-  options.max_concurrent_requests = static_cast<size_t>(
-      GetIntFlag(argc, argv, "max-concurrent", 2, &flags_ok));
-  options.queue_capacity =
-      static_cast<size_t>(GetIntFlag(argc, argv, "queue", 8, &flags_ok));
-  options.default_deadline_ms =
-      GetDoubleFlag(argc, argv, "deadline-ms", 1000.0, &flags_ok);
-  options.max_deadline_ms =
-      GetDoubleFlag(argc, argv, "max-deadline-ms", 30000.0, &flags_ok);
-  options.min_full_resolve_ms =
-      GetDoubleFlag(argc, argv, "min-full-resolve-ms", 10.0, &flags_ok);
+  options.max_concurrent_requests =
+      static_cast<size_t>(flags.GetInt("max-concurrent", 2));
+  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 8));
+  options.default_deadline_ms = flags.GetDouble("deadline-ms", 1000.0);
+  options.max_deadline_ms = flags.GetDouble("max-deadline-ms", 30000.0);
+  options.min_full_resolve_ms = flags.GetDouble("min-full-resolve-ms", 10.0);
   options.memory_limit_bytes = static_cast<size_t>(
-      GetIntFlag(argc, argv, "memory-limit-mb", 0, &flags_ok) * 1024 * 1024);
+      flags.GetInt("memory-limit-mb", 0) * 1024 * 1024);
   options.codec.max_frame_bytes = static_cast<size_t>(
-      GetIntFlag(argc, argv, "max-frame-mb", 64, &flags_ok) * 1024 * 1024);
-  const std::string socket_path = GetFlag(argc, argv, "socket", "");
-  const std::string stats_out = GetFlag(argc, argv, "stats-out", "");
-  if (!flags_ok || options.repository.directory.empty() ||
-      socket_path.empty()) {
+      flags.GetInt("max-frame-mb", 64) * 1024 * 1024);
+  const std::string socket_path = flags.GetString("socket", "");
+  const std::string stats_out = flags.GetString("stats-out", "");
+  if (options.repository.directory.empty() || socket_path.empty()) {
     std::fprintf(stderr, "server mode needs --models=DIR and --socket=PATH\n");
     return 2;
   }
@@ -349,18 +300,17 @@ bool Exchange(int fd, const std::vector<uint8_t>& frame,
   return true;
 }
 
-int RunSingleRequest(int argc, char** argv, const std::string& socket_path) {
-  bool flags_ok = true;
+int RunSingleRequest(const Flags& flags, const std::string& socket_path) {
   serve::CodecLimits limits;
   serve::Request request;
   request.request_id = 1;
-  const std::string target_path = GetFlag(argc, argv, "target", "");
-  if (HasFlag(argc, argv, "ping")) {
+  const std::string target_path = flags.GetString("target", "");
+  if (flags.GetBool("ping", false)) {
     request.op = serve::RequestOp::kPing;
-  } else if (HasFlag(argc, argv, "stats")) {
+  } else if (flags.GetBool("stats", false)) {
     request.op = serve::RequestOp::kStats;
   } else if (!target_path.empty()) {
-    const std::string op = GetFlag(argc, argv, "op", "resolve");
+    const std::string op = flags.GetString("op", "resolve");
     if (op == "resolve") {
       request.op = serve::RequestOp::kResolve;
     } else if (op == "classify") {
@@ -389,9 +339,7 @@ int RunSingleRequest(int argc, char** argv, const std::string& socket_path) {
                  "--soak\n");
     return 2;
   }
-  request.deadline_ms = static_cast<uint32_t>(
-      GetIntFlag(argc, argv, "deadline-ms", 0, &flags_ok));
-  if (!flags_ok) return 2;
+  request.deadline_ms = static_cast<uint32_t>(flags.GetInt("deadline-ms", 0));
 
   const int fd = ConnectSocket(socket_path);
   if (fd < 0) {
@@ -422,7 +370,7 @@ int RunSingleRequest(int argc, char** argv, const std::string& socket_path) {
   for (const DegradationEvent& event : response.events) {
     std::printf("event: %s\n", event.ToString().c_str());
   }
-  const std::string out_path = GetFlag(argc, argv, "out", "");
+  const std::string out_path = flags.GetString("out", "");
   if (!out_path.empty() && !response.labels.empty()) {
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
@@ -576,28 +524,20 @@ bool SwapArtifact(const std::string& src, const std::string& dst,
   return true;
 }
 
-int RunSoak(int argc, char** argv, const std::string& socket_path) {
-  bool flags_ok = true;
-  const std::string target_path = GetFlag(argc, argv, "target", "");
-  const int clients =
-      static_cast<int>(GetIntFlag(argc, argv, "clients", 4, &flags_ok));
-  const int requests =
-      static_cast<int>(GetIntFlag(argc, argv, "requests", 50, &flags_ok));
-  const size_t rows =
-      static_cast<size_t>(GetIntFlag(argc, argv, "rows", 32, &flags_ok));
-  const double corrupt_rate =
-      GetDoubleFlag(argc, argv, "corrupt-rate", 0.15, &flags_ok);
-  const double oversize_rate =
-      GetDoubleFlag(argc, argv, "oversize-rate", 0.05, &flags_ok);
+int RunSoak(const Flags& flags, const std::string& socket_path) {
+  const std::string target_path = flags.GetString("target", "");
+  const int clients = static_cast<int>(flags.GetInt("clients", 4));
+  const int requests = static_cast<int>(flags.GetInt("requests", 50));
+  const size_t rows = static_cast<size_t>(flags.GetInt("rows", 32));
+  const double corrupt_rate = flags.GetDouble("corrupt-rate", 0.15);
+  const double oversize_rate = flags.GetDouble("oversize-rate", 0.05);
   const double tiny_deadline_rate =
-      GetDoubleFlag(argc, argv, "tiny-deadline-rate", 0.15, &flags_ok);
-  const uint64_t seed = static_cast<uint64_t>(
-      GetIntFlag(argc, argv, "seed", 1, &flags_ok));
-  const std::string swap_src = GetFlag(argc, argv, "swap-src", "");
-  const std::string swap_dst = GetFlag(argc, argv, "swap-dst", "");
-  const int64_t swap_delay_ms =
-      GetIntFlag(argc, argv, "swap-delay-ms", 200, &flags_ok);
-  if (!flags_ok || target_path.empty() || clients <= 0 || requests <= 0 ||
+      flags.GetDouble("tiny-deadline-rate", 0.15);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const std::string swap_src = flags.GetString("swap-src", "");
+  const std::string swap_dst = flags.GetString("swap-dst", "");
+  const int64_t swap_delay_ms = flags.GetInt("swap-delay-ms", 200);
+  if (target_path.empty() || clients <= 0 || requests <= 0 ||
       swap_src.empty() != swap_dst.empty() || swap_delay_ms < 0) {
     std::fprintf(stderr,
                  "--soak needs --target=CSV (and sane counts; --swap-src "
@@ -661,17 +601,53 @@ int RunSoak(int argc, char** argv, const std::string& socket_path) {
   return total.lost_valid == 0 && total.sent > 0 && swap_ok ? 0 : 1;
 }
 
+void PrintUsage(std::FILE* out, const char* prog) {
+  std::fprintf(
+      out,
+      "usage: %s --models=DIR --socket=PATH\n"
+      "    [--max-concurrent=2] [--queue=8] [--deadline-ms=1000]\n"
+      "    [--max-deadline-ms=30000] [--min-full-resolve-ms=10]\n"
+      "    [--memory-limit-mb=0] [--refresh-s=2] [--min-probe-sim=0.5]\n"
+      "    [--max-frame-mb=64] [--knn-backend=kdtree|brute|ann]\n"
+      "    [--recall=0.95] [--stats-out=FILE]\n"
+      "  client: --connect=PATH with one of\n"
+      "    --ping | --stats\n"
+      "    --target=CSV [--op=resolve|classify] [--deadline-ms=N]\n"
+      "        [--out=FILE]\n"
+      "    --soak --target=CSV [--clients=4] [--requests=50] [--rows=32]\n"
+      "        [--corrupt-rate=0.15] [--oversize-rate=0.05]\n"
+      "        [--tiny-deadline-rate=0.15] [--seed=1]\n"
+      "        [--swap-src=FILE --swap-dst=FILE [--swap-delay-ms=200]]\n"
+      "  [--help] [--version]\n"
+      "exit codes: 0 success, 1 transport/load failure, 2 invalid flags,\n"
+      "4 request rejected (single-request client mode)\n",
+      prog);
+}
+
 int Main(int argc, char** argv) {
+  const Flags flags(
+      argc, argv,
+      {"models", "socket", "max-concurrent", "queue", "deadline-ms",
+       "max-deadline-ms", "min-full-resolve-ms", "memory-limit-mb",
+       "refresh-s", "min-probe-sim", "max-frame-mb", "knn-backend", "recall",
+       "stats-out", "connect", "ping", "stats", "target", "op", "out", "soak",
+       "clients", "requests", "rows", "corrupt-rate", "oversize-rate",
+       "tiny-deadline-rate", "seed", "swap-src", "swap-dst", "swap-delay-ms",
+       "help", "version"});
+  if (flags.GetBool("help", false)) {
+    PrintUsage(stdout, argv[0]);
+    return 0;
+  }
   // A peer closing mid-write (the server condemning a corrupt stream,
   // or a client gone away) must surface as a write error, not SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
   SetLogLevel(LogLevel::kError);  // soak traffic would flood Warning logs
-  const std::string connect = GetFlag(argc, argv, "connect", "");
+  const std::string connect = flags.GetString("connect", "");
   if (!connect.empty()) {
-    if (HasFlag(argc, argv, "soak")) return RunSoak(argc, argv, connect);
-    return RunSingleRequest(argc, argv, connect);
+    if (flags.GetBool("soak", false)) return RunSoak(flags, connect);
+    return RunSingleRequest(flags, connect);
   }
-  return RunServer(argc, argv);
+  return RunServer(flags);
 }
 
 }  // namespace

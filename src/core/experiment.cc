@@ -82,6 +82,17 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
     const std::vector<TransferScenario>& scenarios,
     const std::vector<NamedClassifierFactory>& suite,
     const SweepOptions& options) {
+  // Every cell runs under the sweep context when one is set, and a run
+  // given a context ignores the per-run limit fields; refuse the pair
+  // rather than drop the limits silently.
+  const ExecutionContext* sweep_context = options.base_options.context;
+  if (sweep_context != nullptr &&
+      (options.base_options.time_limit_seconds > 0.0 ||
+       options.base_options.memory_limit_bytes > 0)) {
+    return Status::InvalidArgument(
+        "per-cell time/memory limits cannot be combined with a sweep "
+        "context: every cell runs under the sweep context instead");
+  }
   std::optional<SweepCheckpoint> checkpoint;
   if (!options.checkpoint_path.empty()) {
     TRANSER_ASSIGN_OR_RETURN(
@@ -89,11 +100,6 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
         SweepCheckpoint::Open(options.checkpoint_path, options.diagnostics));
     checkpoint.emplace(std::move(opened));
   }
-  // The optional sweep-level context is only *checked* here, between
-  // groups; per-cell time/memory limits in base_options keep their
-  // per-run semantics (each Run resolves its own context from them).
-  const ExecutionContext* sweep_context = options.base_options.context;
-
   // Workers share the checkpoint through one mutex: a lookup copies the
   // record out under it, and Record (append + fsync) runs under it, so
   // frames never interleave.

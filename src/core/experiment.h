@@ -54,7 +54,10 @@ struct SweepOptions {
   /// at seed + 1000 * classifier_index, as RunMethodOnScenario does);
   /// `context`, when set, is checked between cells so cancellation or a
   /// sweep-wide deadline stops the sweep at a cell boundary with every
-  /// completed cell already journaled.
+  /// completed cell already journaled. Every cell then runs under that
+  /// context, so it cannot be combined with `time_limit_seconds` or
+  /// `memory_limit_bytes` (the sweep returns InvalidArgument); without
+  /// one, those limits bound each cell's run.
   TransferRunOptions base_options;
   /// Sink for sweep-level events (checkpoint tail drops, cell retries).
   RunDiagnostics* diagnostics = nullptr;

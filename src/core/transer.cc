@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
-#include "knn/kd_tree.h"
+#include "core/active_transer.h"
+#include "core/source_selection.h"
+#include "knn/knn_backend.h"
 #include "knn/neighbourhood.h"
 #include "linalg/covariance.h"
 #include "linalg/vector_ops.h"
@@ -67,26 +70,32 @@ ParallelOptions SelParallelOptions(int num_threads,
   return par;
 }
 
-/// Both neighbourhoods of every source instance (Algorithm 1, phase i):
-/// N_x^S over the source with the instance itself excluded, and N_x^T
-/// over the target. Only t_c / t_l change between the steps of the
-/// relaxation ladder, so a run computes these once and re-filters.
+/// Both neighbourhoods of the scanned source instances (Algorithm 1,
+/// phase i): N_x^S over the source with the instance itself excluded,
+/// and N_x^T over the target. Only t_c / t_l change between the steps of
+/// the relaxation ladder, so a run computes these once and re-filters.
 struct SelNeighbourhoods {
   Matrix x_source;
   Matrix x_target;
+  /// Source row of each scanned instance; empty = every row, in order.
+  std::vector<size_t> rows;
   std::vector<std::vector<Neighbour>> source;
   std::vector<std::vector<Neighbour>> target;
+
+  size_t Row(size_t p) const { return rows.empty() ? p : rows[p]; }
 };
 
 /// Builds both indexes on the backend requested by `knn` (exact KD-tree
 /// by default; the approximate graph trades a bounded selection
 /// difference for sub-linear scans — see TransferRunOptions::knn_backend)
-/// and answers both neighbourhood scans through the batched query path.
-/// The indexes are released on return; only the answers are kept.
+/// and scans the neighbourhoods of every source instance through the
+/// batched query path, or of the source rows in `sample` when it is not
+/// null. The indexes are released on return; only the answers are kept.
 Result<SelNeighbourhoods> ComputeSelNeighbourhoods(
     size_t k, const FeatureMatrix& source, const FeatureMatrix& target,
-    const ExecutionContext& context, RunDiagnostics* diagnostics,
-    const KnnBackendOptions& knn, const ParallelOptions& par) {
+    const std::vector<size_t>* sample, const ExecutionContext& context,
+    RunDiagnostics* diagnostics, const KnnBackendOptions& knn,
+    const ParallelOptions& par) {
   TRANSER_RETURN_IF_ERROR(context.Check("transer", diagnostics));
 
   SelNeighbourhoods out;
@@ -110,45 +119,75 @@ Result<SelNeighbourhoods> ComputeSelNeighbourhoods(
       const std::unique_ptr<KnnBackend> target_index,
       CreateKnnBackend(out.x_target, knn, context, "transer", diagnostics));
 
-  TRANSER_ASSIGN_OR_RETURN(
-      out.source,
-      source_index->QueryBatch(out.x_source, k_source, context, "transer",
-                               par, /*skip_self=*/true));
-  TRANSER_ASSIGN_OR_RETURN(
-      out.target, target_index->QueryBatch(out.x_source, k_target, context,
-                                           "transer", par));
+  if (sample == nullptr) {
+    TRANSER_ASSIGN_OR_RETURN(
+        out.source,
+        source_index->QueryBatch(out.x_source, k_source, context, "transer",
+                                 par, /*skip_self=*/true));
+    TRANSER_ASSIGN_OR_RETURN(
+        out.target, target_index->QueryBatch(out.x_source, k_target,
+                                             context, "transer", par));
+    return out;
+  }
+  out.rows = *sample;
+  out.source.resize(out.rows.size());
+  out.target.resize(out.rows.size());
+  TRANSER_RETURN_IF_ERROR(ParallelFor(
+      context, "transer", out.rows.size(),
+      [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
+        for (size_t p = begin; p < end; ++p) {
+          const size_t s = out.rows[p];
+          const std::span<const double> row(out.x_source.Row(s),
+                                            out.x_source.cols());
+          out.source[p] =
+              source_index->Query(row, k_source, static_cast<ptrdiff_t>(s));
+          out.target[p] = target_index->Query(row, k_target);
+        }
+        return Status::OK();
+      },
+      par));
   return out;
 }
 
+/// Equation (2): the decayed distance between the centroids of scanned
+/// instance p's two neighbourhoods. The centroids accumulate into the
+/// caller's scratch, so a scan allocates nothing per instance.
+double StructuralSimilarity(const SelNeighbourhoods& neighbourhoods,
+                            size_t p, std::vector<double>* centroid_s,
+                            std::vector<double>* centroid_t) {
+  NeighbourhoodCentroidInto(neighbourhoods.x_source,
+                            neighbourhoods.source[p], centroid_s);
+  NeighbourhoodCentroidInto(neighbourhoods.x_target,
+                            neighbourhoods.target[p], centroid_t);
+  return TransER::StructuralSimilarityFromDistance(
+      L2Distance(*centroid_s, *centroid_t), neighbourhoods.x_source.cols());
+}
+
 /// SEL's per-instance filter under thresholds `t_c` / `t_l` (plus the
-/// sim_v ablation's t_v). Instances are filtered over the parallel
-/// runtime; chunks fill private index lists that concatenate in chunk
-/// order, so the selection matches the serial scan exactly at any
-/// thread count. Workers observe `context` per chunk.
+/// sim_v ablation's t_v); returns the source rows that pass. Instances
+/// are filtered over the parallel runtime; chunks fill private row lists
+/// that concatenate in chunk order, so the selection matches the serial
+/// scan exactly at any thread count. Workers observe `context` per chunk.
 Result<std::vector<size_t>> FilterSelInstances(
     const TransEROptions& options, const FeatureMatrix& source,
     const SelNeighbourhoods& neighbourhoods, const ExecutionContext& context,
     const ParallelOptions& par, double t_c, double t_l) {
-  const Matrix& x_source = neighbourhoods.x_source;
-  const Matrix& x_target = neighbourhoods.x_target;
-  const size_t m = source.num_features();
-  const ChunkPlan plan = PlanChunks(source.size(), par.min_items_per_chunk);
+  const size_t count = neighbourhoods.source.size();
+  const ChunkPlan plan = PlanChunks(count, par.min_items_per_chunk);
   std::vector<std::vector<size_t>> chunk_selected(plan.num_chunks);
   TRANSER_RETURN_IF_ERROR(ParallelFor(
-      context, "transer", source.size(),
+      context, "transer", count,
       [&](size_t begin, size_t end, size_t chunk) -> Status {
         std::vector<size_t>& kept = chunk_selected[chunk];
-        // Centroid scratch lives across the chunk's instances — the
-        // sim_l filter allocates nothing per instance.
         std::vector<double> centroid_s, centroid_t;
-        for (size_t s = begin; s < end; ++s) {
+        for (size_t p = begin; p < end; ++p) {
           if (!InParallelRegion()) {
             // Heartbeat only from the single driving thread.
-            context.ReportProgress(static_cast<double>(s) /
-                                   static_cast<double>(source.size()));
+            context.ReportProgress(static_cast<double>(p) /
+                                   static_cast<double>(count));
           }
-          const std::vector<Neighbour>& n_s = neighbourhoods.source[s];
-          const std::vector<Neighbour>& n_t = neighbourhoods.target[s];
+          const size_t s = neighbourhoods.Row(p);
+          const std::vector<Neighbour>& n_s = neighbourhoods.source[p];
 
           // Equation (1): fraction of source neighbours sharing the label.
           if (options.use_sim_c) {
@@ -163,25 +202,23 @@ Result<std::vector<size_t>> FilterSelInstances(
             if (sim_c < t_c) continue;
           }
 
-          // Equation (2): decayed distance between neighbourhood centroids.
-          if (options.use_sim_l) {
-            NeighbourhoodCentroidInto(x_source, n_s, &centroid_s);
-            NeighbourhoodCentroidInto(x_target, n_t, &centroid_t);
-            const double sim_l = TransER::StructuralSimilarityFromDistance(
-                L2Distance(centroid_s, centroid_t), m);
-            if (sim_l < t_l) continue;
+          if (options.use_sim_l &&
+              StructuralSimilarity(neighbourhoods, p, &centroid_s,
+                                   &centroid_t) < t_l) {
+            continue;
           }
 
           // Optional covariance filter (the "+ sim_v" ablation).
           if (options.use_sim_v) {
-            const Matrix cov_s = NeighbourhoodCovariance(x_source, n_s);
-            const Matrix cov_t = NeighbourhoodCovariance(x_target, n_t);
+            const Matrix cov_s =
+                NeighbourhoodCovariance(neighbourhoods.x_source, n_s);
+            const Matrix cov_t = NeighbourhoodCovariance(
+                neighbourhoods.x_target, neighbourhoods.target[p]);
             const double sim_v =
                 std::exp(-5.0 * cov_s.Subtract(cov_t).FrobeniusNorm() /
-                         static_cast<double>(m));
+                         static_cast<double>(source.num_features()));
             if (sim_v < options.t_v) continue;
           }
-
           kept.push_back(s);
         }
         return Status::OK();
@@ -189,11 +226,218 @@ Result<std::vector<size_t>> FilterSelInstances(
       par));
 
   std::vector<size_t> selected;
-  selected.reserve(source.size());
+  selected.reserve(count);
   for (const std::vector<size_t>& kept : chunk_selected) {
     selected.insert(selected.end(), kept.begin(), kept.end());
   }
   return selected;
+}
+
+/// The entry checks of every Algorithm 1 run: the budget, the domains'
+/// working set (held in `working_set` for the run) and a valid domain
+/// pair. Non-finite inputs would propagate silently through every
+/// distance and classifier, so they are rejected; callers with dirty data
+/// repair it first via FeatureMatrix::Validate (as the pipeline does).
+Status CheckRunInputs(const FeatureMatrix& source, const FeatureMatrix& target,
+                      const ExecutionContext& context,
+                      RunDiagnostics* budget_diag,
+                      ScopedReservation* working_set) {
+  TRANSER_RETURN_IF_ERROR(context.Check("transer", budget_diag));
+  TRANSER_RETURN_IF_ERROR(working_set->Acquire(
+      context, "transer",
+      transfer_internal::DomainWorkingSetBytes(source, target), budget_diag));
+  TRANSER_RETURN_IF_ERROR(ValidateDomainPair(source, target));
+  ValidationOptions strict;
+  if (auto checked = source.Validate(strict); !checked.ok()) {
+    return Status::InvalidArgument("source " + checked.status().message());
+  }
+  strict.check_label_domain = false;  // target is legitimately unlabeled
+  if (auto checked = target.Validate(strict); !checked.ok()) {
+    return Status::InvalidArgument("target " + checked.status().message());
+  }
+  return Status::OK();
+}
+
+/// What the three phases of one Algorithm 1 run share.
+struct AlgorithmRun {
+  const TransEROptions& options;
+  const FeatureMatrix& source;
+  const FeatureMatrix& target;
+  const Matrix& x_target;
+  const ClassifierFactory& make_classifier;
+  const TransferRunOptions& run_options;
+  const ExecutionContext& context;
+  /// Phase counts and degradation events, published by the caller. Budget
+  /// outcomes skip it for run_options.diagnostics: failure returns bypass
+  /// publishing, and the context's dedup latches prevent repeats.
+  TransERReport* report;
+
+  Status CheckBudget() const {
+    return context.Check("transer", run_options.diagnostics);
+  }
+
+  /// A training set must keep at least one neighbourhood's worth of
+  /// instances of both classes.
+  size_t min_trainable() const { return std::max(options.k, size_t{4}); }
+  bool Trainable(const FeatureMatrix& m) const {
+    return m.size() >= min_trainable() && m.CountMatches() > 0 &&
+           m.CountNonMatches() > 0;
+  }
+};
+
+/// Phase (i), SEL, with its relaxation ladder: an untrainable selection
+/// relaxes t_c / t_l, and when the ladder runs out SEL falls back to the
+/// full source (naive transfer for this run). Returns X^U with labels
+/// Y^U; its source rows become `state`'s SEL output.
+Result<FeatureMatrix> SelectTransferable(const AlgorithmRun& run,
+                                         TransERPipelineState* state) {
+  run.context.BeginStage("sel");
+  const TransEROptions& options = run.options;
+  RunDiagnostics* budget_diag = run.run_options.diagnostics;
+  if (options.use_sel) {
+    const ParallelOptions par =
+        SelParallelOptions(run.run_options.num_threads, budget_diag);
+    TRANSER_ASSIGN_OR_RETURN(
+        const SelNeighbourhoods neighbourhoods,
+        ComputeSelNeighbourhoods(
+            options.k, run.source, run.target, /*sample=*/nullptr,
+            run.context, budget_diag,
+            ResolveKnnBackendOptions(run.run_options,
+                                     run.run_options.num_threads),
+            par));
+    double t_c = options.t_c;
+    double t_l = options.t_l;
+    for (size_t step = 0;; ++step) {
+      TRANSER_ASSIGN_OR_RETURN(
+          const std::vector<size_t> rows,
+          FilterSelInstances(options, run.source, neighbourhoods,
+                             run.context, par, t_c, t_l));
+      FeatureMatrix transferred = run.source.Select(rows);
+      if (run.Trainable(transferred)) {
+        state->selected_indices.assign(rows.begin(), rows.end());
+        run.report->selected_instances = transferred.size();
+        return transferred;
+      }
+      if (step >= options.max_sel_relax_steps) {
+        run.report->diagnostics.Add(
+            DegradationKind::kSelFallbackNaive, "sel",
+            StrFormat("SEL kept %zu usable instances after %zu "
+                      "relaxations; using the full source",
+                      transferred.size(), step),
+            static_cast<double>(transferred.size()),
+            static_cast<double>(run.source.size()));
+        break;
+      }
+      const double next_t_c = t_c * options.sel_relax_factor;
+      const double next_t_l = t_l * options.sel_relax_factor;
+      run.report->diagnostics.Add(
+          DegradationKind::kSelThresholdRelaxed, "sel",
+          StrFormat("SEL kept %zu usable instances (< %zu); relaxing "
+                    "t_c/t_l",
+                    transferred.size(), run.min_trainable()),
+          t_c, next_t_c);
+      t_c = next_t_c;
+      t_l = next_t_l;
+    }
+  }
+  // No SEL, or its ladder ran out: the full source.
+  state->selected_indices.resize(run.source.size());
+  std::iota(state->selected_indices.begin(), state->selected_indices.end(),
+            uint64_t{0});
+  run.report->selected_instances = run.source.size();
+  return run.source;
+}
+
+/// Phase (ii), GEN: trains C^U on X^U and gives every target instance a
+/// pseudo label with its confidence, C^U's probability of that label —
+/// `state`'s GEN output.
+Status GeneratePseudoLabels(const AlgorithmRun& run,
+                            const FeatureMatrix& transferred,
+                            TransERPipelineState* state) {
+  run.context.BeginStage("gen");
+  state->classifier_u = run.make_classifier();
+  state->classifier_u->set_execution_context(&run.context);
+  FitClassifierWithRunOptions(state->classifier_u.get(), transferred,
+                              transfer_internal::RequireLabels(transferred),
+                              /*weights=*/{}, run.run_options);
+  // An interrupted Fit stops early with a partial model; surface the
+  // TE / cancellation status rather than predict from it.
+  TRANSER_RETURN_IF_ERROR(run.CheckBudget());
+
+  const std::vector<double> proba =
+      state->classifier_u->PredictProbaAll(run.x_target);
+  state->pseudo_labels.resize(proba.size());
+  state->pseudo_confidences.resize(proba.size());
+  for (size_t i = 0; i < proba.size(); ++i) {
+    state->pseudo_labels[i] = proba[i] >= 0.5 ? kMatch : kNonMatch;
+    state->pseudo_confidences[i] =
+        proba[i] >= 0.5 ? proba[i] : 1.0 - proba[i];
+  }
+  return Status::OK();
+}
+
+/// Phase (iii), TCL, with its t_p ladder: trains C^V on the target
+/// instances whose pseudo labels are confident, non-matches
+/// under-sampled to 1 : b. An untrainable candidate set lowers t_p; when
+/// the ladder runs out TCL is skipped and C^V is null — the pseudo labels
+/// are then the best available answer.
+Result<std::unique_ptr<Classifier>> TrainTargetClassifier(
+    const AlgorithmRun& run, const std::vector<int>& labels,
+    const std::vector<double>& confidence) {
+  run.context.BeginStage("tcl");
+  TRANSER_RETURN_IF_ERROR(run.CheckBudget());
+  TransERReport& report = *run.report;
+  double t_p = run.options.t_p;
+  FeatureMatrix x_vb;
+  for (size_t step = 0;; ++step) {
+    std::vector<size_t> candidates;
+    for (size_t i = 0; i < confidence.size(); ++i) {
+      if (confidence[i] >= t_p) candidates.push_back(i);
+    }
+    report.candidate_instances = candidates.size();
+
+    FeatureMatrix x_v = run.target.Select(candidates).WithLabels([&] {
+      std::vector<int> candidate_labels;
+      candidate_labels.reserve(candidates.size());
+      for (size_t index : candidates) candidate_labels.push_back(labels[index]);
+      return candidate_labels;
+    }());
+    report.pseudo_matches = x_v.CountMatches();
+
+    // Balance classes to 1 : b by under-sampling non-matches.
+    Rng rng(run.run_options.seed + 71);
+    x_vb = x_v.Select(UndersampleNonMatches(x_v.labels(), run.options.b, &rng));
+    report.balanced_instances = x_vb.size();
+    if (run.Trainable(x_vb)) break;
+
+    constexpr double kMinTp = 0.5;  // below 0.5 the filter means nothing
+    if (step >= run.options.max_gen_relax_steps || t_p <= kMinTp) {
+      report.diagnostics.Add(
+          DegradationKind::kTclSkipped, "tcl",
+          StrFormat("confident pseudo-label set degenerate (%zu "
+                    "instances) at t_p=%.2f; returning pseudo labels",
+                    x_vb.size(), t_p),
+          static_cast<double>(x_vb.size()), 0.0);
+      return std::unique_ptr<Classifier>();
+    }
+    const double next_t_p =
+        std::max(kMinTp, t_p - run.options.gen_relax_step);
+    report.diagnostics.Add(
+        DegradationKind::kGenThresholdLowered, "gen",
+        StrFormat("t_p filter left %zu usable candidates (< %zu); "
+                  "lowering t_p",
+                  x_vb.size(), run.min_trainable()),
+        t_p, next_t_p);
+    t_p = next_t_p;
+  }
+
+  std::unique_ptr<Classifier> classifier = run.make_classifier();
+  classifier->set_execution_context(&run.context);
+  FitClassifierWithRunOptions(classifier.get(), x_vb, x_vb.labels(),
+                              /*weights=*/{}, run.run_options);
+  TRANSER_RETURN_IF_ERROR(run.CheckBudget());
+  report.tcl_trained = true;
+  return classifier;
 }
 
 }  // namespace
@@ -224,7 +468,8 @@ Result<std::vector<size_t>> TransER::SelectInstances(
   TRANSER_ASSIGN_OR_RETURN(
       const SelNeighbourhoods neighbourhoods,
       ComputeSelNeighbourhoods(
-          options_.k, source, target, context, run_options.diagnostics,
+          options_.k, source, target, /*sample=*/nullptr, context,
+          run_options.diagnostics,
           ResolveKnnBackendOptions(run_options, run_options.num_threads),
           par));
   return FilterSelInstances(options_, source, neighbourhoods, context, par,
@@ -238,27 +483,9 @@ Result<std::vector<int>> TransER::RunWithReport(
   std::optional<ExecutionContext> local_context;
   const ExecutionContext& context =
       ResolveExecutionContext(run_options, &local_context);
-  // Budget outcomes go straight to the caller's sink: failure returns
-  // bypass publish(), and the context's dedup latches prevent repeats.
-  RunDiagnostics* budget_diag = run_options.diagnostics;
-  TRANSER_RETURN_IF_ERROR(context.Check("transer", budget_diag));
   ScopedReservation working_set;
-  TRANSER_RETURN_IF_ERROR(working_set.Acquire(
-      context, "transer",
-      transfer_internal::DomainWorkingSetBytes(source, target), budget_diag));
-
-  TRANSER_RETURN_IF_ERROR(ValidateDomainPair(source, target));
-  // Non-finite inputs would propagate silently through every distance
-  // and classifier; reject them here. Callers with dirty data repair it
-  // first via FeatureMatrix::Validate (as the pipeline does).
-  ValidationOptions strict;
-  if (auto checked = source.Validate(strict); !checked.ok()) {
-    return Status::InvalidArgument("source " + checked.status().message());
-  }
-  strict.check_label_domain = false;  // target is legitimately unlabeled
-  if (auto checked = target.Validate(strict); !checked.ok()) {
-    return Status::InvalidArgument("target " + checked.status().message());
-  }
+  TRANSER_RETURN_IF_ERROR(CheckRunInputs(
+      source, target, context, run_options.diagnostics, &working_set));
 
   TransERReport local_report;
   local_report.source_instances = source.size();
@@ -272,15 +499,10 @@ Result<std::vector<int>> TransER::RunWithReport(
     if (report != nullptr) *report = local_report;
   };
 
-  // A selection must keep at least one neighbourhood's worth of
-  // instances of both classes to be trainable.
-  const size_t min_selected = std::max(options_.k, size_t{4});
-  auto trainable = [&](const FeatureMatrix& m) {
-    return m.size() >= min_selected && m.CountMatches() > 0 &&
-           m.CountNonMatches() > 0;
-  };
-
   const Matrix x_target = target.ToMatrix();
+  const AlgorithmRun run{options_, source, target, x_target,
+                         make_classifier, run_options, context,
+                         &local_report};
   const std::string& snapshot_path = run_options.model_snapshot_path;
 
   // `snap` accumulates the run's durable state: the snapshot of record
@@ -361,93 +583,10 @@ Result<std::vector<int>> TransER::RunWithReport(
     }
   }
 
-  std::vector<int> pseudo_labels;
-  std::vector<double> confidence;
-  if (resume_after_gen) {
-    pseudo_labels = snap.pseudo_labels;
-    confidence = snap.pseudo_confidences;
-  } else {
-    // --- Phase (i): instance selector (SEL), with relaxation ladder ---
-    context.BeginStage("sel");
-    FeatureMatrix transferred;  // X^U with labels Y^U
-    std::vector<size_t> kept_indices;
-    // Identity selection for the no-SEL and fallback exits.
-    auto all_source_rows = [&]() {
-      std::vector<size_t> all(source.size());
-      for (size_t s = 0; s < all.size(); ++s) all[s] = s;
-      return all;
-    };
-    if (options_.use_sel) {
-      const ParallelOptions par =
-          SelParallelOptions(run_options.num_threads, budget_diag);
-      TRANSER_ASSIGN_OR_RETURN(
-          const SelNeighbourhoods neighbourhoods,
-          ComputeSelNeighbourhoods(
-              options_.k, source, target, context, budget_diag,
-              ResolveKnnBackendOptions(run_options, run_options.num_threads),
-              par));
-      double t_c = options_.t_c;
-      double t_l = options_.t_l;
-      for (size_t step = 0;; ++step) {
-        auto selected = FilterSelInstances(options_, source, neighbourhoods,
-                                           context, par, t_c, t_l);
-        if (!selected.ok()) return selected.status();
-        transferred = source.Select(selected.value());
-        if (trainable(transferred)) {
-          kept_indices = std::move(selected).value();
-          break;
-        }
-        if (step >= options_.max_sel_relax_steps) {
-          // Degenerate selections cannot train a two-class model; fall
-          // back to the full source (naive transfer for this run).
-          diag.Add(DegradationKind::kSelFallbackNaive, "sel",
-                   StrFormat("SEL kept %zu usable instances after %zu "
-                             "relaxations; using the full source",
-                             transferred.size(), step),
-                   static_cast<double>(transferred.size()),
-                   static_cast<double>(source.size()));
-          transferred = source;
-          kept_indices = all_source_rows();
-          break;
-        }
-        const double next_t_c = t_c * options_.sel_relax_factor;
-        const double next_t_l = t_l * options_.sel_relax_factor;
-        diag.Add(DegradationKind::kSelThresholdRelaxed, "sel",
-                 StrFormat("SEL kept %zu usable instances (< %zu); relaxing "
-                           "t_c/t_l",
-                           transferred.size(), min_selected),
-                 t_c, next_t_c);
-        t_c = next_t_c;
-        t_l = next_t_l;
-      }
-    } else {
-      transferred = source;
-      kept_indices = all_source_rows();
-    }
-    local_report.selected_instances = transferred.size();
-    snap.selected_indices.assign(kept_indices.begin(), kept_indices.end());
-
-    // --- Phase (ii): pseudo-label generator (GEN) ---
-    context.BeginStage("gen");
-    snap.classifier_u = make_classifier();
-    snap.classifier_u->set_execution_context(&context);
-    FitClassifierWithRunOptions(snap.classifier_u.get(), transferred,
-                                transfer_internal::RequireLabels(transferred),
-                                /*weights=*/{}, run_options);
-    // An interrupted Fit stops early with a partial model; surface the
-    // TE / cancellation status rather than predict from it.
-    TRANSER_RETURN_IF_ERROR(context.Check("transer", budget_diag));
-
-    const std::vector<double> proba =
-        snap.classifier_u->PredictProbaAll(x_target);
-    pseudo_labels.resize(proba.size());
-    confidence.resize(proba.size());
-    for (size_t i = 0; i < proba.size(); ++i) {
-      pseudo_labels[i] = proba[i] >= 0.5 ? kMatch : kNonMatch;
-      confidence[i] = proba[i] >= 0.5 ? proba[i] : 1.0 - proba[i];
-    }
-    snap.pseudo_labels = pseudo_labels;
-    snap.pseudo_confidences = confidence;
+  if (!resume_after_gen) {
+    TRANSER_ASSIGN_OR_RETURN(const FeatureMatrix transferred,
+                             SelectTransferable(run, &snap));
+    TRANSER_RETURN_IF_ERROR(GeneratePseudoLabels(run, transferred, &snap));
     // The GEN state is the expensive part of the run; snapshot it so a
     // later run (or a crash recovery) can resume at TCL.
     save_snapshot("gen");
@@ -457,64 +596,16 @@ Result<std::vector<int>> TransER::RunWithReport(
     // Ablation "without GEN & TCL": classify the target directly with the
     // classifier trained on the transferred instances.
     publish();
-    return pseudo_labels;
+    return snap.pseudo_labels;
   }
-
-  // --- Phase (iii): target domain classifier (TCL), with t_p ladder ---
-  context.BeginStage("tcl");
-  TRANSER_RETURN_IF_ERROR(context.Check("transer", budget_diag));
-  double t_p = options_.t_p;
-  FeatureMatrix x_vb;
-  for (size_t step = 0;; ++step) {
-    std::vector<size_t> candidates;
-    for (size_t i = 0; i < confidence.size(); ++i) {
-      if (confidence[i] >= t_p) candidates.push_back(i);
-    }
-    local_report.candidate_instances = candidates.size();
-
-    FeatureMatrix x_v = target.Select(candidates).WithLabels([&] {
-      std::vector<int> labels;
-      labels.reserve(candidates.size());
-      for (size_t index : candidates) labels.push_back(pseudo_labels[index]);
-      return labels;
-    }());
-    local_report.pseudo_matches = x_v.CountMatches();
-
-    // Balance classes to 1 : b by under-sampling non-matches.
-    Rng rng(run_options.seed + 71);
-    const std::vector<size_t> balanced_rows =
-        UndersampleNonMatches(x_v.labels(), options_.b, &rng);
-    x_vb = x_v.Select(balanced_rows);
-    local_report.balanced_instances = x_vb.size();
-    if (trainable(x_vb)) break;
-
-    constexpr double kMinTp = 0.5;  // below 0.5 the filter means nothing
-    if (step >= options_.max_gen_relax_steps || t_p <= kMinTp) {
-      // Degenerate candidate sets cannot train C^V; the pseudo labels
-      // are the best available answer.
-      diag.Add(DegradationKind::kTclSkipped, "tcl",
-               StrFormat("confident pseudo-label set degenerate (%zu "
-                         "instances) at t_p=%.2f; returning pseudo labels",
-                         x_vb.size(), t_p),
-               static_cast<double>(x_vb.size()), 0.0);
-      publish();
-      return pseudo_labels;
-    }
-    const double next_t_p = std::max(kMinTp, t_p - options_.gen_relax_step);
-    diag.Add(DegradationKind::kGenThresholdLowered, "gen",
-             StrFormat("t_p filter left %zu usable candidates (< %zu); "
-                       "lowering t_p",
-                       x_vb.size(), min_selected),
-             t_p, next_t_p);
-    t_p = next_t_p;
+  TRANSER_ASSIGN_OR_RETURN(
+      snap.classifier_v,
+      TrainTargetClassifier(run, snap.pseudo_labels,
+                            snap.pseudo_confidences));
+  if (snap.classifier_v == nullptr) {
+    publish();  // TCL skipped by its ladder
+    return snap.pseudo_labels;
   }
-
-  snap.classifier_v = make_classifier();
-  snap.classifier_v->set_execution_context(&context);
-  FitClassifierWithRunOptions(snap.classifier_v.get(), x_vb, x_vb.labels(),
-                              /*weights=*/{}, run_options);
-  TRANSER_RETURN_IF_ERROR(context.Check("transer", budget_diag));
-  local_report.tcl_trained = true;
   // Snapshot of record now carries C^V: later runs serve directly.
   save_snapshot("tcl");
   publish();
@@ -527,6 +618,125 @@ Result<std::vector<int>> TransER::Run(
     const TransferRunOptions& run_options) const {
   return RunWithReport(source, target, make_classifier, run_options,
                        nullptr);
+}
+
+Result<ActiveTransERResult> ActiveTransER::Run(
+    const FeatureMatrix& source, const FeatureMatrix& target,
+    const ClassifierFactory& make_classifier, const LabelOracle& oracle,
+    const TransferRunOptions& run_options) const {
+  std::optional<ExecutionContext> local_context;
+  const ExecutionContext& context =
+      ResolveExecutionContext(run_options, &local_context);
+  ScopedReservation working_set;
+  TRANSER_RETURN_IF_ERROR(CheckRunInputs(
+      source, target, context, run_options.diagnostics, &working_set));
+  const Matrix x_target = target.ToMatrix();
+  TransERReport report;  // only its events reach the caller
+  const AlgorithmRun run{options_.transer, source, target, x_target,
+                         make_classifier, run_options, context, &report};
+
+  TransERPipelineState state;  // SEL and GEN output, never saved
+  TRANSER_ASSIGN_OR_RETURN(const FeatureMatrix transferred,
+                           SelectTransferable(run, &state));
+  TRANSER_RETURN_IF_ERROR(GeneratePseudoLabels(run, transferred, &state));
+  std::vector<int>& labels = state.pseudo_labels;
+  std::vector<double>& confidence = state.pseudo_confidences;
+
+  // --- Active step: the least-confident pseudo labels go to the oracle
+  // in (confidence, index) order, the tie rule of NeighbourBefore ---
+  ActiveTransERResult result;
+  std::vector<size_t> order(confidence.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return confidence[a] < confidence[b];
+  });
+  const size_t budget = std::min(options_.budget, order.size());
+  for (size_t q = 0; q < budget; ++q) {
+    const size_t index = order[q];
+    labels[index] = oracle(index) == kMatch ? kMatch : kNonMatch;
+    confidence[index] = 1.0;  // oracle labels are ground truth
+    result.queried_indices.push_back(index);
+  }
+
+  // --- TCL over confident pseudo labels + oracle labels ---
+  std::unique_ptr<Classifier> classifier_v;
+  if (options_.transer.use_gen_tcl) {
+    TRANSER_ASSIGN_OR_RETURN(classifier_v,
+                             TrainTargetClassifier(run, labels, confidence));
+  }
+  if (classifier_v == nullptr) {
+    result.predicted = std::move(labels);
+  } else {
+    result.predicted = classifier_v->PredictAll(x_target);
+    // Oracle answers are authoritative; never overrule them.
+    for (size_t index : result.queried_indices) {
+      result.predicted[index] = labels[index];
+    }
+  }
+  if (run_options.diagnostics != nullptr) {
+    run_options.diagnostics->Merge(report.diagnostics);
+  }
+  return result;
+}
+
+Result<SourceScore> ScoreSourceDomain(const FeatureMatrix& source,
+                                      const FeatureMatrix& target,
+                                      const SourceSelectionOptions& options) {
+  if (source.num_features() != target.num_features()) {
+    return Status::InvalidArgument(
+        "candidate source does not share the target's feature space");
+  }
+  if (source.empty() || target.empty()) {
+    return Status::InvalidArgument("empty domain");
+  }
+
+  Rng rng(options.seed);
+  const std::vector<size_t> sample = rng.SampleWithoutReplacement(
+      source.size(), std::min(options.sample_size, source.size()));
+  const ExecutionContext& context = ExecutionContext::Unlimited();
+  const ParallelOptions par = SelParallelOptions(/*num_threads=*/0, nullptr);
+  TRANSER_ASSIGN_OR_RETURN(
+      const SelNeighbourhoods neighbourhoods,
+      ComputeSelNeighbourhoods(options.transer.k, source, target, &sample,
+                               context, nullptr, KnnBackendOptions{}, par));
+  TRANSER_ASSIGN_OR_RETURN(
+      const std::vector<size_t> transferable,
+      FilterSelInstances(options.transer, source, neighbourhoods, context,
+                         par, options.transer.t_c, options.transer.t_l));
+  double structural_total = 0.0;
+  std::vector<double> centroid_s, centroid_t;
+  for (size_t p = 0; p < sample.size(); ++p) {
+    structural_total +=
+        StructuralSimilarity(neighbourhoods, p, &centroid_s, &centroid_t);
+  }
+
+  SourceScore score;
+  score.transferable_fraction = static_cast<double>(transferable.size()) /
+                                static_cast<double>(sample.size());
+  score.mean_structural_similarity =
+      structural_total / static_cast<double>(sample.size());
+  return score;
+}
+
+Result<std::vector<SourceScore>> RankSourceDomains(
+    const std::vector<const FeatureMatrix*>& sources,
+    const FeatureMatrix& target, const SourceSelectionOptions& options) {
+  if (sources.empty()) {
+    return Status::InvalidArgument("no candidate source domains");
+  }
+  std::vector<SourceScore> scores;
+  scores.reserve(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    auto score = ScoreSourceDomain(*sources[i], target, options);
+    if (!score.ok()) return score.status();
+    score.value().source_index = i;
+    scores.push_back(score.value());
+  }
+  std::sort(scores.begin(), scores.end(),
+            [](const SourceScore& a, const SourceScore& b) {
+              return a.Score() > b.Score();
+            });
+  return scores;
 }
 
 }  // namespace transer

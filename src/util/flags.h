@@ -1,0 +1,114 @@
+#ifndef TRANSER_UTIL_FLAGS_H_
+#define TRANSER_UTIL_FLAGS_H_
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "util/build_info.h"
+#include "util/parallel.h"
+#include "util/string_util.h"
+
+namespace transer {
+
+/// \brief The --key=value flag parser of every binary in the repository
+/// (bench programs and command-line tools). Every flag the binary
+/// understands must be named in `allowed`; any other argument (a typo, a
+/// positional, a stray -x) exits with code 2 instead of being silently
+/// ignored — a mistyped --time-limit must not quietly run unlimited. A
+/// bare `--name` reads as "true". `--version` is handled here so every
+/// binary reports its build identity uniformly.
+class Flags {
+ public:
+  Flags(int argc, char** argv, std::initializer_list<const char*> allowed) {
+    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
+    for (const auto& arg : args_) {
+      if (arg == "--version") {
+        const std::string path = argc > 0 ? argv[0] : "transer";
+        std::printf("%s\n",
+                    FormatVersion(path.substr(path.rfind('/') + 1)).c_str());
+        std::exit(0);
+      }
+      if (!StartsWith(arg, "--")) {
+        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
+        std::exit(2);
+      }
+      const std::string name = arg.substr(2, arg.find('=') - 2);
+      bool known = false;
+      for (const char* candidate : allowed) known |= name == candidate;
+      if (!known) {
+        std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+        std::exit(2);
+      }
+    }
+  }
+
+  double GetDouble(const std::string& name, double fallback) const {
+    const std::optional<std::string> raw = Find(name);
+    double value = fallback;
+    if (raw.has_value() && !ParseDouble(*raw, &value)) BadValue(name, *raw);
+    return value;
+  }
+
+  int64_t GetInt(const std::string& name, int64_t fallback) const {
+    const std::optional<std::string> raw = Find(name);
+    int64_t value = fallback;
+    if (raw.has_value() && !ParseInt64(*raw, &value)) BadValue(name, *raw);
+    return value;
+  }
+
+  /// Anything but "false" or "0" is true.
+  bool GetBool(const std::string& name, bool fallback) const {
+    const std::optional<std::string> raw = Find(name);
+    if (!raw.has_value()) return fallback;
+    return *raw != "false" && *raw != "0";
+  }
+
+  std::string GetString(const std::string& name,
+                        const std::string& fallback) const {
+    return Find(name).value_or(fallback);
+  }
+
+ private:
+  /// The value of the first `--name=value` or bare `--name` argument.
+  std::optional<std::string> Find(const std::string& name) const {
+    const std::string prefix = "--" + name + "=";
+    for (const auto& arg : args_) {
+      if (StartsWith(arg, prefix)) return arg.substr(prefix.size());
+      if (arg == "--" + name) return "true";
+    }
+    return std::nullopt;
+  }
+
+  [[noreturn]] static void BadValue(const std::string& name,
+                                    const std::string& raw) {
+    std::fprintf(stderr, "bad value for --%s: %s\n", name.c_str(),
+                 raw.c_str());
+    std::exit(2);
+  }
+
+  std::vector<std::string> args_;
+};
+
+/// Reads --threads (default 0 = hardware width), installs it as the
+/// process-wide default lane count, and returns the resolved value.
+/// Every binary taking this flag produces bit-identical results at any
+/// --threads value; only wall time changes.
+inline int ConfigureThreads(const Flags& flags) {
+  const int64_t threads = flags.GetInt("threads", 0);
+  if (threads < 0) {
+    std::fprintf(stderr, "--threads=%lld is invalid: must be >= 0\n",
+                 static_cast<long long>(threads));
+    std::exit(2);
+  }
+  SetDefaultThreadCount(static_cast<int>(threads));
+  return DefaultThreadCount();
+}
+
+}  // namespace transer
+
+#endif  // TRANSER_UTIL_FLAGS_H_

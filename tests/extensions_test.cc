@@ -1,7 +1,10 @@
 // Tests of the future-work extensions (paper Section 6): the k-NN
 // classifier family, multi-source selection, and active-learning TransER.
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -10,9 +13,11 @@
 #include "core/transer.h"
 #include "data/feature_space_generator.h"
 #include "eval/metrics.h"
+#include "knn/brute_force.h"
 #include "ml/knn_classifier.h"
 #include "ml/metrics_util.h"
 #include "ml/random_forest.h"
+#include "util/execution_context.h"
 #include "util/random.h"
 
 namespace transer {
@@ -40,6 +45,21 @@ FeatureMatrix MakeDomain(double match_mean, uint64_t seed, size_t n = 1200,
   spec.seed = seed;
   return gen.Generate(spec);
 }
+
+/// A classifier with one constant probability: every confidence ties.
+class ConstantProbaClassifier : public Classifier {
+ public:
+  explicit ConstantProbaClassifier(double proba) : proba_(proba) {}
+  void Fit(const Matrix&, const std::vector<int>&,
+           const std::vector<double>&) override {}
+  double PredictProba(std::span<const double>) const override {
+    return proba_;
+  }
+  std::string name() const override { return "constant_proba"; }
+
+ private:
+  double proba_;
+};
 
 // ---------- KnnClassifier ----------
 
@@ -117,6 +137,98 @@ TEST(SourceSelectionTest, RejectsMismatchedFeatureSpaces) {
   const FeatureMatrix narrow = narrow_gen.Generate(spec);
   EXPECT_FALSE(ScoreSourceDomain(narrow, target, {}).ok());
   EXPECT_FALSE(RankSourceDomains({}, target).ok());
+}
+
+/// ScoreSourceDomain written out by hand: brute-force neighbourhoods,
+/// Eq. 1 as a label count and Eq. 2 as exp(-5 d / sqrt(m)) between the
+/// neighbourhood centroids. The squared distance sums element j into
+/// lane j mod 4 and combines (l0 + l1) + (l2 + l3), the order of every
+/// kernel reduction.
+SourceScore ReferenceSourceScore(const FeatureMatrix& source,
+                                 const FeatureMatrix& target,
+                                 const SourceSelectionOptions& options) {
+  const Matrix x_source = source.ToMatrix();
+  const Matrix x_target = target.ToMatrix();
+  const size_t m = source.num_features();
+  const BruteForceKnn source_knn(x_source);
+  const BruteForceKnn target_knn(x_target);
+  Rng rng(options.seed);
+  const std::vector<size_t> sample = rng.SampleWithoutReplacement(
+      source.size(), std::min(options.sample_size, source.size()));
+  const size_t k_source = std::min(options.transer.k, source.size() - 1);
+  const size_t k_target = std::min(options.transer.k, target.size());
+  auto centroid = [m](const Matrix& x, const std::vector<Neighbour>& nbs) {
+    std::vector<double> c(m, 0.0);
+    for (const Neighbour& nb : nbs) {
+      for (size_t j = 0; j < m; ++j) c[j] += x.Row(nb.index)[j];
+    }
+    for (double& v : c) v *= 1.0 / static_cast<double>(nbs.size());
+    return c;
+  };
+
+  size_t transferable = 0;
+  double structural_total = 0.0;
+  for (size_t s : sample) {
+    const std::span<const double> row(x_source.Row(s), m);
+    const std::vector<Neighbour> n_s =
+        source_knn.Query(row, k_source, static_cast<ptrdiff_t>(s));
+    const std::vector<Neighbour> n_t = target_knn.Query(row, k_target);
+
+    size_t same_label = 0;
+    for (const Neighbour& nb : n_s) {
+      if (source.label(nb.index) == source.label(s)) ++same_label;
+    }
+    const double sim_c =
+        static_cast<double>(same_label) / static_cast<double>(n_s.size());
+
+    const std::vector<double> c_s = centroid(x_source, n_s);
+    const std::vector<double> c_t = centroid(x_target, n_t);
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t j = 0; j < m; ++j) {
+      const double d = c_s[j] - c_t[j];
+      lane[j % 4] += d * d;
+    }
+    const double distance =
+        std::sqrt((lane[0] + lane[1]) + (lane[2] + lane[3]));
+    const double sim_l =
+        std::exp(-5.0 * (distance / std::sqrt(static_cast<double>(m))));
+
+    structural_total += sim_l;
+    if (sim_c >= options.transer.t_c && sim_l >= options.transer.t_l) {
+      ++transferable;
+    }
+  }
+  SourceScore score;
+  score.transferable_fraction =
+      static_cast<double>(transferable) / static_cast<double>(sample.size());
+  score.mean_structural_similarity =
+      structural_total / static_cast<double>(sample.size());
+  return score;
+}
+
+TEST(SourceSelectionTest, MatchesHandWrittenEquations) {
+  FeatureSpaceGenerator gen(FeatureSpaceSharedSpec{5, 40, 563});
+  const FeatureMatrix target = MakeDomain(0.78, 25, 700, &gen);
+  const FeatureMatrix source = MakeDomain(0.8, 26, 900, &gen);
+  // A sample smaller than the source, and one larger than it (the whole
+  // source in sampled order).
+  for (const size_t sample_size : {size_t{250}, size_t{5000}}) {
+    SourceSelectionOptions options;
+    options.sample_size = sample_size;
+    options.transer.t_l = 0.97;  // make the Eq. 2 filter bind
+    auto score = ScoreSourceDomain(source, target, options);
+    ASSERT_TRUE(score.ok()) << score.status().ToString();
+    const SourceScore reference =
+        ReferenceSourceScore(source, target, options);
+    EXPECT_EQ(score.value().transferable_fraction,
+              reference.transferable_fraction)
+        << "sample " << sample_size;
+    EXPECT_EQ(score.value().mean_structural_similarity,
+              reference.mean_structural_similarity)
+        << "sample " << sample_size;
+    EXPECT_GT(reference.transferable_fraction, 0.0);
+    EXPECT_LT(reference.transferable_fraction, 1.0);
+  }
 }
 
 // ---------- active TransER ----------
@@ -207,6 +319,56 @@ TEST(ActiveTransERTest, ZeroBudgetMatchesPlainPhases) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(called);
   EXPECT_TRUE(result.value().queried_indices.empty());
+
+  // With no queries the active run is plain TransER, byte for byte.
+  auto plain = TransER().Run(source, target.WithoutLabels(),
+                             MakeRfFactory(), {});
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(result.value().predicted, plain.value());
+}
+
+TEST(ActiveTransERTest, TiedConfidencesQueryLowestIndicesFirst) {
+  FeatureSpaceGenerator gen(FeatureSpaceSharedSpec{4, 40, 564});
+  const FeatureMatrix source = MakeDomain(0.8, 27, 400, &gen);
+  const FeatureMatrix target = MakeDomain(0.75, 28, 400, &gen);
+  ActiveTransEROptions options;
+  options.budget = 12;
+  ActiveTransER active(options);
+  std::vector<size_t> asked;
+  auto result = active.Run(
+      source, target.WithoutLabels(),
+      []() -> std::unique_ptr<Classifier> {
+        return std::make_unique<ConstantProbaClassifier>(0.7);
+      },
+      [&](size_t index) {
+        asked.push_back(index);
+        return target.label(index);
+      },
+      {});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<size_t> lowest(options.budget);
+  std::iota(lowest.begin(), lowest.end(), size_t{0});
+  EXPECT_EQ(asked, lowest);
+  EXPECT_EQ(result.value().queried_indices, lowest);
+}
+
+TEST(ActiveTransERTest, ExpiredContextWithoutSelReturnsTe) {
+  FeatureSpaceGenerator gen(FeatureSpaceSharedSpec{4, 40, 565});
+  const FeatureMatrix source = MakeDomain(0.8, 29, 400, &gen);
+  const FeatureMatrix target = MakeDomain(0.75, 30, 400, &gen);
+  ActiveTransEROptions options;
+  options.transer.use_sel = false;
+  ActiveTransER active(options);
+  ExecutionContext expired({/*time=*/1e-9, /*memory=*/0});
+  ASSERT_TRUE(expired.Expired());
+  TransferRunOptions run_options;
+  run_options.context = &expired;
+  auto result = active.Run(
+      source, target.WithoutLabels(), MakeRfFactory(),
+      [&](size_t index) { return target.label(index); }, run_options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("(TE)"), std::string::npos)
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the robustness layer: Result::value() hardening,
 // validation & repair policies, tolerant CSV ingestion, and the
-// documented degradation paths of TransER.
+// documented degradation paths of TransER and ActiveTransER.
 
 #include <cmath>
 #include <fstream>
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/active_transer.h"
 #include "core/transer.h"
 #include "features/feature_matrix.h"
 #include "ml/logistic_regression.h"
@@ -403,6 +404,59 @@ TEST(DegradationTest, LowConfidenceGenLowersTpThenSkipsTcl) {
   EXPECT_TRUE(report.diagnostics.HasKind(DegradationKind::kTclSkipped));
   EXPECT_FALSE(report.tcl_trained);
   for (int label : predicted.value()) EXPECT_EQ(label, kMatch);
+}
+
+std::vector<DegradationKind> EventKinds(const RunDiagnostics& diagnostics) {
+  std::vector<DegradationKind> kinds;
+  for (const DegradationEvent& event : diagnostics.events) {
+    kinds.push_back(event.kind);
+  }
+  return kinds;
+}
+
+TEST(DegradationTest, ActiveTransERWalksTheSameLadders) {
+  // The inputs of the two ladder tests above: at budget 0 the active run
+  // must record the same events, in the same order, as plain TransER.
+  struct Case {
+    FeatureMatrix source;
+    FeatureMatrix target;
+    TransEROptions options;
+    ClassifierFactory factory;
+  };
+  TransEROptions sel_ladder;
+  sel_ladder.t_l = 0.99;
+  TransEROptions gen_ladder;
+  gen_ladder.use_sel = false;
+  const std::vector<Case> cases = {
+      {ClusteredMatrix(20, 0.95, 0.05),
+       ClusteredMatrix(20, 0.55, 0.45).WithoutLabels(), sel_ladder,
+       MakeLrFactory()},
+      {ClusteredMatrix(20, 0.9, 0.1),
+       ClusteredMatrix(20, 0.9, 0.1).WithoutLabels(), gen_ladder,
+       []() -> std::unique_ptr<Classifier> {
+         return std::make_unique<ConstantProbaClassifier>(0.6);
+       }},
+  };
+  for (const Case& c : cases) {
+    TransERReport report;
+    auto plain = TransER(c.options).RunWithReport(c.source, c.target,
+                                                  c.factory, {}, &report);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_TRUE(report.diagnostics.degraded());
+
+    ActiveTransEROptions active_options;
+    active_options.transer = c.options;
+    active_options.budget = 0;
+    RunDiagnostics sink;
+    TransferRunOptions run_options;
+    run_options.diagnostics = &sink;
+    auto active = ActiveTransER(active_options).Run(
+        c.source, c.target, c.factory, [](size_t) { return kMatch; },
+        run_options);
+    ASSERT_TRUE(active.ok()) << active.status().ToString();
+    EXPECT_EQ(EventKinds(sink), EventKinds(report.diagnostics));
+    EXPECT_EQ(active.value().predicted, plain.value());
+  }
 }
 
 TEST(DegradationTest, SingleClassSourceIsRejected) {

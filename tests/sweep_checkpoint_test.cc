@@ -581,5 +581,31 @@ TEST_P(CheckpointedSweepTest, SeedMismatchIsRejected) {
             std::string::npos);
 }
 
+TEST_P(CheckpointedSweepTest, SweepContextWithPerCellLimitsIsRefused) {
+  // A cell given the sweep context ignores the per-run limit fields, so
+  // the pair is refused up front instead of running the cells unlimited.
+  std::vector<TransferScenario> scenarios;
+  scenarios.push_back(MakeScenario("A -> B", 300, 27));
+  const auto suite = DefaultClassifierSuite();
+  ExecutionContext sweep_context;
+  for (const bool time_limited : {true, false}) {
+    const std::string path = TempJournalPath("refused_limits");
+    SweepOptions options;
+    options.base_options.seed = 33;
+    options.base_options.num_threads = GetParam();
+    options.base_options.context = &sweep_context;
+    if (time_limited) {
+      options.base_options.time_limit_seconds = 1e-9;
+    } else {
+      options.base_options.memory_limit_bytes = 1024;
+    }
+    options.checkpoint_path = path;
+    auto sweep = RunCheckpointedSweep(NaiveOnly(), scenarios, suite, options);
+    ASSERT_FALSE(sweep.ok());
+    EXPECT_EQ(sweep.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(std::ifstream(path).good()) << "nothing may be journaled";
+  }
+}
+
 }  // namespace
 }  // namespace transer

@@ -1,10 +1,13 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -237,6 +240,35 @@ TEST(StringUtilTest, ParseInt64AcceptsAndRejects) {
   EXPECT_EQ(v, -42);
   EXPECT_FALSE(ParseInt64("4.2", &v));
   EXPECT_FALSE(ParseInt64("", &v));
+}
+
+// ---------- Flags ----------
+
+Flags ParseFlags(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return Flags(static_cast<int>(argv.size()), argv.data(),
+               {"time-limit-s", "sparse", "name"});
+}
+
+TEST(FlagsTest, ReadsKnownFlags) {
+  const Flags flags = ParseFlags(
+      {"tool", "--time-limit-s=0.5", "--sparse", "--name=a=b"});
+  EXPECT_EQ(flags.GetDouble("time-limit-s", 0.0), 0.5);
+  EXPECT_TRUE(flags.GetBool("sparse", false));
+  EXPECT_EQ(flags.GetString("name", ""), "a=b");
+  EXPECT_EQ(flags.GetInt("missing", 7), 7);
+}
+
+TEST(FlagsDeathTest, UnknownFlagsAndBadValuesExitTwo) {
+  // A misspelt limit must not run unlimited.
+  EXPECT_EXIT(ParseFlags({"tool", "--time-limit=0.000001"}),
+              ::testing::ExitedWithCode(2), "unknown flag --time-limit");
+  EXPECT_EXIT(ParseFlags({"tool", "source.csv"}),
+              ::testing::ExitedWithCode(2), "unexpected argument");
+  EXPECT_EXIT(ParseFlags({"tool", "--time-limit-s=soon"})
+                  .GetDouble("time-limit-s", 0.0),
+              ::testing::ExitedWithCode(2), "bad value for --time-limit-s");
 }
 
 // ---------- Csv ----------
