@@ -51,10 +51,10 @@ int Main(int argc, char** argv) {
   ScenarioScale scale;
   scale.scale = flags.GetDouble("scale", 0.015);
   scale.seed = static_cast<uint64_t>(flags.GetInt("seed", 33));
+  const ExecutionLimits cell_limits{
+      flags.GetTimeLimitSeconds("time-limit", 30.0),
+      flags.GetMemoryLimitBytes("memory-limit-mb", 64)};
   TransferRunOptions run_options;
-  run_options.time_limit_seconds = flags.GetDouble("time-limit", 30.0);
-  run_options.memory_limit_bytes =
-      static_cast<size_t>(flags.GetInt("memory-limit-mb", 64)) << 20;
   run_options.seed = scale.seed;
   // --sparse=true trains the linear classifiers of the suite through the
   // CSR feature path (others fall back dense with a diagnostics event).
@@ -75,8 +75,8 @@ int Main(int argc, char** argv) {
   std::printf(
       "Table 3: feature-matrix sizes and runtimes in seconds (sum over the\n"
       "4-classifier suite). scale=%.4g, limits: %.0fs/run, %zu MB.\n\n",
-      scale.scale, run_options.time_limit_seconds,
-      run_options.memory_limit_bytes >> 20);
+      scale.scale, cell_limits.time_limit_seconds,
+      cell_limits.memory_limit_bytes >> 20);
 
   const auto methods = DefaultMethodLineup();
   std::vector<std::string> header = {"Scenario", "|X^S|", "|X^T|"};
@@ -92,6 +92,7 @@ int Main(int argc, char** argv) {
   SweepOptions sweep_options;
   sweep_options.checkpoint_path = flags.GetString("checkpoint", "");
   sweep_options.base_options = run_options;
+  sweep_options.cell_limits = cell_limits;
   sweep_options.warm_start_dir = flags.GetString("warm-start", "");
   Stopwatch sweep_watch;
   auto sweep = RunCheckpointedSweep(methods, scenarios,

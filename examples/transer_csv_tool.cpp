@@ -200,7 +200,8 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "\n"
       "--time-limit-s and --memory-limit-mb bound the run: the pipeline\n"
       "checks them cooperatively and stops with a budget error instead of\n"
-      "running away. 0 (the default) means unlimited.\n"
+      "running away. 0 (the default) means unlimited. Seconds must be\n"
+      "finite and >= 0; megabytes an integer >= 0. Anything else exits 2.\n"
       "\n"
       "--save-model snapshots the trained pipeline after GEN and TCL;\n"
       "--load-model warm-starts from a compatible snapshot (and, without\n"
@@ -299,22 +300,11 @@ int Main(int argc, char** argv) {
   const ClassifierFactory factory = MakeFactory(
       flags.GetString("classifier", sparse ? "lr" : "rf"), sparse);
 
+  const ExecutionLimits limits{
+      flags.GetTimeLimitSeconds("time-limit-s", 0.0),
+      flags.GetMemoryLimitBytes("memory-limit-mb", 0)};
   TransferRunOptions run_options;
   run_options.sparse_features = sparse;
-  run_options.time_limit_seconds = flags.GetDouble("time-limit-s", 0.0);
-  if (run_options.time_limit_seconds < 0.0) {
-    std::fprintf(stderr, "--time-limit-s=%g is invalid: must be >= 0\n",
-                 run_options.time_limit_seconds);
-    return 2;
-  }
-  const double memory_mb = flags.GetDouble("memory-limit-mb", 0.0);
-  if (memory_mb < 0.0 || memory_mb != std::floor(memory_mb)) {
-    std::fprintf(stderr,
-                 "--memory-limit-mb=%g is invalid: must be an integer >= 0\n",
-                 memory_mb);
-    return 2;
-  }
-  run_options.memory_limit_bytes = static_cast<size_t>(memory_mb) << 20;
   // run_options.num_threads stays 0: the process default set here.
   ConfigureThreads(flags);
 
@@ -400,6 +390,9 @@ int Main(int argc, char** argv) {
   run_options.model_snapshot_path =
       !load_model.empty() ? load_model : save_model;
 
+  // The budget's clock starts here, after loading.
+  const ExecutionContext context(limits);
+  run_options.context = &context;
   TransER transer(options);
   TransERReport report;
   auto predicted = transer.RunWithReport(

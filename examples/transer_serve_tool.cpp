@@ -201,8 +201,7 @@ int RunServer(const Flags& flags) {
   options.default_deadline_ms = flags.GetDouble("deadline-ms", 1000.0);
   options.max_deadline_ms = flags.GetDouble("max-deadline-ms", 30000.0);
   options.min_full_resolve_ms = flags.GetDouble("min-full-resolve-ms", 10.0);
-  options.memory_limit_bytes = static_cast<size_t>(
-      flags.GetInt("memory-limit-mb", 0) * 1024 * 1024);
+  options.memory_limit_bytes = flags.GetMemoryLimitBytes("memory-limit-mb", 0);
   options.codec.max_frame_bytes = static_cast<size_t>(
       flags.GetInt("max-frame-mb", 64) * 1024 * 1024);
   const std::string socket_path = flags.GetString("socket", "");

@@ -82,12 +82,6 @@ std::vector<uint64_t> MinHashLshBlocker::Signature(
   return signature;
 }
 
-std::vector<PairRef> MinHashLshBlocker::Block(const Dataset& left,
-                                              const Dataset& right) const {
-  // The unlimited context never trips, so value() cannot abort.
-  return Block(left, right, ExecutionContext::Unlimited()).value();
-}
-
 Result<std::vector<PairRef>> MinHashLshBlocker::Block(
     const Dataset& left, const Dataset& right,
     const ExecutionContext& context, RunDiagnostics* diagnostics) const {

@@ -33,11 +33,9 @@ class MinHashLshBlocker {
   explicit MinHashLshBlocker(MinHashLshOptions options = {});
 
   /// Returns deduplicated candidate pairs between `left` and `right`.
-  std::vector<PairRef> Block(const Dataset& left, const Dataset& right) const;
-
-  /// Context-observing variant: checks the deadline / cancellation per
-  /// record while min-hashing and per band while bucketing, and reserves
-  /// the signature storage against the memory budget.
+  /// Checks the deadline / cancellation per record while min-hashing and
+  /// per band while bucketing, and reserves the signature storage
+  /// against the memory budget.
   Result<std::vector<PairRef>> Block(const Dataset& left,
                                      const Dataset& right,
                                      const ExecutionContext& context,

@@ -75,6 +75,11 @@ std::string SnapshotFileName(const SweepCellKey& key) {
   return name + ".tera";
 }
 
+std::string DescribeLimits(const ExecutionLimits& limits) {
+  return StrFormat("a %gs / %zu-byte cell budget", limits.time_limit_seconds,
+                   limits.memory_limit_bytes);
+}
+
 }  // namespace
 
 Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
@@ -82,17 +87,7 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
     const std::vector<TransferScenario>& scenarios,
     const std::vector<NamedClassifierFactory>& suite,
     const SweepOptions& options) {
-  // Every cell runs under the sweep context when one is set, and a run
-  // given a context ignores the per-run limit fields; refuse the pair
-  // rather than drop the limits silently.
-  const ExecutionContext* sweep_context = options.base_options.context;
-  if (sweep_context != nullptr &&
-      (options.base_options.time_limit_seconds > 0.0 ||
-       options.base_options.memory_limit_bytes > 0)) {
-    return Status::InvalidArgument(
-        "per-cell time/memory limits cannot be combined with a sweep "
-        "context: every cell runs under the sweep context instead");
-  }
+  const ExecutionContext& sweep_context = *options.base_options.context;
   std::optional<SweepCheckpoint> checkpoint;
   if (!options.checkpoint_path.empty()) {
     TRANSER_ASSIGN_OR_RETURN(
@@ -146,9 +141,7 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
     const FeatureMatrix& unlabeled_target =
         unlabeled_targets[group.scenario_index];
     const std::vector<int>& truth = scenario.target.labels();
-    if (sweep_context != nullptr) {
-      sweep_context->BeginStage(method.name() + "/" + scenario.name);
-    }
+    sweep_context.BeginStage(method.name() + "/" + scenario.name);
 
     MethodScenarioResult result;
     result.method = method.name();
@@ -160,15 +153,18 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
       ++run_index;
       const SweepCellKey key{method.name(), scenario.name, family.name};
       const std::optional<SweepCellRecord> existing = journaled(key);
-      if (existing.has_value() && existing->seed != cell_seed) {
+      if (existing.has_value() && (existing->seed != cell_seed ||
+                                   existing->limits != options.cell_limits)) {
         return Status::FailedPrecondition(StrFormat(
-            "sweep checkpoint %s holds cell %s/%s/%s at seed %llu but "
-            "this sweep would run it at seed %llu; the journal belongs "
-            "to a different sweep configuration",
+            "sweep checkpoint %s holds cell %s/%s/%s at seed %llu under "
+            "%s but this sweep would run it at seed %llu under %s; the "
+            "journal belongs to a different sweep configuration",
             options.checkpoint_path.c_str(), key.method.c_str(),
             key.scenario.c_str(), key.classifier.c_str(),
             static_cast<unsigned long long>(existing->seed),
-            static_cast<unsigned long long>(cell_seed)));
+            DescribeLimits(existing->limits).c_str(),
+            static_cast<unsigned long long>(cell_seed),
+            DescribeLimits(options.cell_limits).c_str()));
       }
       if (existing.has_value()) {
         if (existing->failure.empty()) {
@@ -196,8 +192,16 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
             0.0, 1.0);
       }
 
+      // A sweep deadline stops the sweep here, at a cell boundary. Lanes
+      // poll without the diagnostics sink (it is not thread-safe);
+      // ParallelFor records the outcome once after the join.
+      TRANSER_RETURN_IF_ERROR(sweep_context.Check(
+          "sweep", InParallelRegion() ? nullptr : options.diagnostics));
+      const ExecutionContext cell_context(options.cell_limits,
+                                          sweep_context.cancellation_token());
       TransferRunOptions run_options = options.base_options;
       run_options.seed = cell_seed;
+      run_options.context = &cell_context;
       run_options.diagnostics = &group_run_diag[g];
       if (!options.warm_start_dir.empty()) {
         run_options.model_snapshot_path =
@@ -209,12 +213,13 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
       SweepCellRecord record;
       record.key = key;
       record.seed = cell_seed;
+      record.limits = options.cell_limits;
       record.runtime_seconds = cell_watch.ElapsedSeconds();
       if (!predicted.ok()) {
-        if (sweep_context != nullptr && sweep_context->Interrupted()) {
-          // The sweep itself was cancelled / timed out mid-cell. The
-          // cell is incomplete, not failed — leave it out of the
-          // journal so a resume re-runs it fresh.
+        if (sweep_context.Cancelled()) {
+          // The sweep itself was cancelled mid-cell. The cell is
+          // incomplete, not failed — leave it out of the journal so a
+          // resume re-runs it fresh.
           return predicted.status();
         }
         record.failure = FailureShorthand(predicted.status());
@@ -237,20 +242,9 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
   par.num_threads = options.base_options.num_threads;
   par.diagnostics = options.diagnostics;
   const Status swept = ParallelFor(
-      sweep_context != nullptr ? *sweep_context
-                               : ExecutionContext::Unlimited(),
-      "sweep", grid.size(),
+      sweep_context, "sweep", grid.size(),
       [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
         for (size_t g = begin; g < end; ++g) {
-          if (g != begin && sweep_context != nullptr) {
-            // Between-group check within a chunk; ParallelFor itself
-            // checks at chunk boundaries. Workers poll without the
-            // diagnostics sink (it is not thread-safe) — on error the
-            // post-join re-check records the outcome once.
-            TRANSER_RETURN_IF_ERROR(sweep_context->Check(
-                "sweep",
-                InParallelRegion() ? nullptr : options.diagnostics));
-          }
           TRANSER_RETURN_IF_ERROR(run_group(g));
         }
         return Status::OK();

@@ -52,13 +52,16 @@ struct SweepOptions {
   std::string checkpoint_path;
   /// Per-cell run options: `seed` is the sweep base seed (each cell runs
   /// at seed + 1000 * classifier_index, as RunMethodOnScenario does);
-  /// `context`, when set, is checked between cells so cancellation or a
+  /// `context` is the sweep's own: it is checked before every cell, so a
   /// sweep-wide deadline stops the sweep at a cell boundary with every
-  /// completed cell already journaled. Every cell then runs under that
-  /// context, so it cannot be combined with `time_limit_seconds` or
-  /// `memory_limit_bytes` (the sweep returns InvalidArgument); without
-  /// one, those limits bound each cell's run.
+  /// completed cell already journaled, and its cancellation token also
+  /// reaches the running cells.
   TransferRunOptions base_options;
+  /// The budget of each cell: every cell runs under a fresh
+  /// ExecutionContext with these limits (the paper's per-experiment
+  /// 72 h / 200 GB caps, Section 5.1.1) and the sweep context's
+  /// cancellation token. Journaled with each cell.
+  ExecutionLimits cell_limits;
   /// Sink for sweep-level events (checkpoint tail drops, cell retries).
   RunDiagnostics* diagnostics = nullptr;
   /// When non-empty, each cell runs with a per-cell model snapshot path
@@ -76,6 +79,8 @@ struct SweepOptions {
 /// re-attempted, and transiently-failed cells get one bounded retry.
 /// Results are ordered scenario-major, method-minor. Stops with the
 /// interrupting status when `base_options.context` is cancelled/expired.
+/// A journaled cell recorded under another seed or other cell limits
+/// fails the sweep with FailedPrecondition.
 Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
     const std::vector<std::unique_ptr<TransferMethod>>& methods,
     const std::vector<TransferScenario>& scenarios,

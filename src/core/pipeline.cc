@@ -1,40 +1,21 @@
 #include "core/pipeline.h"
 
-#include <unordered_map>
-
 namespace transer {
-
-namespace {
-
-size_t CountCandidateTrueMatches(const LinkageProblem& problem,
-                                 const std::vector<PairRef>& pairs) {
-  size_t count = 0;
-  for (const PairRef& pair : pairs) {
-    const Record& l = problem.left.record(pair.left_index);
-    const Record& r = problem.right.record(pair.right_index);
-    if (l.entity_id >= 0 && l.entity_id == r.entity_id) ++count;
-  }
-  return count;
-}
-
-}  // namespace
 
 Result<FeatureMatrix> BuildDomainFeatures(const LinkageProblem& problem,
                                           const PipelineOptions& options,
                                           PipelineBuildInfo* info,
-                                          const ExecutionContext* context,
+                                          const ExecutionContext& context,
                                           RunDiagnostics* diagnostics) {
   if (!problem.left.schema().CompatibleWith(problem.right.schema())) {
     return Status::InvalidArgument(
         "left and right database schemas are incompatible");
   }
-  const ExecutionContext& ctx =
-      context != nullptr ? *context : ExecutionContext::Unlimited();
   const MinHashLshBlocker blocker(options.blocking);
   TRANSER_ASSIGN_OR_RETURN(
       const std::vector<PairRef> pairs,
-      blocker.Block(problem.left, problem.right, ctx, diagnostics));
-  TRANSER_RETURN_IF_ERROR(ctx.Check("pipeline", diagnostics));
+      blocker.Block(problem.left, problem.right, context, diagnostics));
+  TRANSER_RETURN_IF_ERROR(context.Check("pipeline", diagnostics));
 
   auto comparator = PairComparator::Create(problem.left.schema(),
                                            problem.right.schema(),
@@ -45,13 +26,13 @@ Result<FeatureMatrix> BuildDomainFeatures(const LinkageProblem& problem,
   compare_parallel.diagnostics = diagnostics;
   TRANSER_ASSIGN_OR_RETURN(
       FeatureMatrix features,
-      comparator.value().CompareAll(problem.left, problem.right, pairs, ctx,
-                                    compare_parallel));
+      comparator.value().CompareAll(problem.left, problem.right, pairs,
+                                    context, compare_parallel));
 
   if (info != nullptr) {
     info->candidate_pairs = pairs.size();
-    info->true_matches_in_candidates =
-        CountCandidateTrueMatches(problem, pairs);
+    // CompareAll labels each pair by the same entity-id rule.
+    info->true_matches_in_candidates = features.CountMatches();
     info->true_matches_total = problem.CountTrueMatches();
   }
   return features;
@@ -65,9 +46,7 @@ Result<EndToEndResult> RunTransferPipeline(
   EndToEndResult result;
   // One shared context bounds the whole linkage: blocking + comparison on
   // both domains and the transfer run all draw from the same budget.
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   // The run's thread count governs both build stages and the method.
   PipelineOptions build_options = options;
   if (build_options.num_threads == 0) {
@@ -77,12 +56,12 @@ Result<EndToEndResult> RunTransferPipeline(
   TRANSER_ASSIGN_OR_RETURN(
       FeatureMatrix source,
       BuildDomainFeatures(source_problem, build_options, &result.source_info,
-                          &context, &result.diagnostics));
+                          context, &result.diagnostics));
   context.BeginStage("build_target");
   TRANSER_ASSIGN_OR_RETURN(
       FeatureMatrix target,
       BuildDomainFeatures(target_problem, build_options, &result.target_info,
-                          &context, &result.diagnostics));
+                          context, &result.diagnostics));
 
   if (source.num_features() != target.num_features()) {
     return Status::InvalidArgument(
@@ -101,11 +80,10 @@ Result<EndToEndResult> RunTransferPipeline(
   result.target_instances = target.size();
 
   // Route the method's degradation events into the result (preserving a
-  // caller-provided sink as well), and hand it the shared context.
+  // caller-provided sink as well).
   context.BeginStage("transfer");
   TransferRunOptions method_options = run_options;
   method_options.diagnostics = &result.diagnostics;
-  method_options.context = &context;
   TRANSER_ASSIGN_OR_RETURN(
       std::vector<int> predicted,
       method.Run(source, target.WithoutLabels(), make_classifier,

@@ -46,13 +46,14 @@ struct PipelineBuildInfo {
 
 /// Runs blocking and comparison on a linkage problem, producing the
 /// labelled feature matrix of the domain. `info` (optional) receives
-/// blocking statistics. `context` (optional) bounds the stage: blocking
-/// observes its deadline / cancellation / memory budget, surfacing 'TE' /
-/// 'ME' statuses; budget outcomes are recorded in `diagnostics` when set.
+/// blocking statistics. `context` bounds the stage: blocking and
+/// comparison observe its deadline / cancellation / memory budget,
+/// surfacing 'TE' / 'ME' statuses; budget outcomes are recorded in
+/// `diagnostics` when set.
 Result<FeatureMatrix> BuildDomainFeatures(
     const LinkageProblem& problem, const PipelineOptions& options,
     PipelineBuildInfo* info = nullptr,
-    const ExecutionContext* context = nullptr,
+    const ExecutionContext& context = ExecutionContext::Unlimited(),
     RunDiagnostics* diagnostics = nullptr);
 
 /// \brief Result of an end-to-end transfer linkage.

@@ -15,8 +15,9 @@ namespace {
 constexpr char kCheckpointMagic[4] = {'T', 'S', 'C', 'K'};
 
 /// Payload version inside a frame, so the record layout can evolve
-/// independently of the framing.
-constexpr uint8_t kRecordVersion = 1;
+/// independently of the framing. Version 2 added the cell limits;
+/// version-1 journals are refused.
+constexpr uint8_t kRecordVersion = 2;
 
 }  // namespace
 
@@ -27,6 +28,8 @@ std::vector<uint8_t> EncodeSweepCellRecord(const SweepCellRecord& record) {
   encoder.PutString(record.key.scenario);
   encoder.PutString(record.key.classifier);
   encoder.PutU64(record.seed);
+  encoder.PutDouble(record.limits.time_limit_seconds);
+  encoder.PutU64(record.limits.memory_limit_bytes);
   encoder.PutString(record.failure);
   encoder.PutDouble(record.quality.precision);
   encoder.PutDouble(record.quality.recall);
@@ -50,6 +53,11 @@ Result<SweepCellRecord> DecodeSweepCellRecord(
   TRANSER_RETURN_IF_ERROR(decoder.GetString(&record.key.scenario));
   TRANSER_RETURN_IF_ERROR(decoder.GetString(&record.key.classifier));
   TRANSER_RETURN_IF_ERROR(decoder.GetU64(&record.seed));
+  TRANSER_RETURN_IF_ERROR(
+      decoder.GetDouble(&record.limits.time_limit_seconds));
+  uint64_t memory_limit_bytes = 0;
+  TRANSER_RETURN_IF_ERROR(decoder.GetU64(&memory_limit_bytes));
+  record.limits.memory_limit_bytes = static_cast<size_t>(memory_limit_bytes);
   TRANSER_RETURN_IF_ERROR(decoder.GetString(&record.failure));
   TRANSER_RETURN_IF_ERROR(decoder.GetDouble(&record.quality.precision));
   TRANSER_RETURN_IF_ERROR(decoder.GetDouble(&record.quality.recall));

@@ -9,6 +9,7 @@
 
 #include "eval/metrics.h"
 #include "util/diagnostics.h"
+#include "util/execution_context.h"
 #include "util/journal_io.h"
 #include "util/status.h"
 
@@ -34,6 +35,10 @@ struct SweepCellRecord {
   /// re-runs (or skips) the cell under the same seed, which is what makes
   /// resumed aggregates bit-identical to uninterrupted ones.
   uint64_t seed = 0;
+  /// The cell budget the cell ran under (SweepOptions::cell_limits). A
+  /// TE / ME outcome holds only for that budget, so a sweep under other
+  /// limits refuses the journal instead of replaying it.
+  ExecutionLimits limits;
   /// Empty on success; "TE" / "ME" for the paper's deterministic budget
   /// failures (skipped on resume); anything else is a transient failure
   /// eligible for one retry.
@@ -66,10 +71,11 @@ class SweepCheckpoint {
   /// Loads the journal at `path`, creating an empty one if absent. A
   /// torn trailing frame is truncated away and the drop is recorded in
   /// `diagnostics`. Damage *before* the tail fails with
-  /// FailedPrecondition instead of silently discarding completed work;
-  /// a file that is not a sweep checkpoint — including the JSON-lines
-  /// checkpoints of older builds — fails with InvalidArgument and is
-  /// left untouched.
+  /// FailedPrecondition instead of silently discarding completed work,
+  /// and so does a frame in another record layout (version-1 records,
+  /// which carry no cell limits); a file that is not a sweep checkpoint
+  /// — including the JSON-lines checkpoints of older builds — fails with
+  /// InvalidArgument and is left untouched.
   static Result<SweepCheckpoint> Open(const std::string& path,
                                       RunDiagnostics* diagnostics = nullptr);
 

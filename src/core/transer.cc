@@ -460,9 +460,7 @@ double TransER::StructuralSimilarityFromDistance(double distance,
 Result<std::vector<size_t>> TransER::SelectInstances(
     const FeatureMatrix& source, const FeatureMatrix& target,
     const TransferRunOptions& run_options) const {
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   const ParallelOptions par =
       SelParallelOptions(run_options.num_threads, run_options.diagnostics);
   TRANSER_ASSIGN_OR_RETURN(
@@ -480,9 +478,7 @@ Result<std::vector<int>> TransER::RunWithReport(
     const FeatureMatrix& source, const FeatureMatrix& target,
     const ClassifierFactory& make_classifier,
     const TransferRunOptions& run_options, TransERReport* report) const {
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   ScopedReservation working_set;
   TRANSER_RETURN_IF_ERROR(CheckRunInputs(
       source, target, context, run_options.diagnostics, &working_set));
@@ -624,9 +620,7 @@ Result<ActiveTransERResult> ActiveTransER::Run(
     const FeatureMatrix& source, const FeatureMatrix& target,
     const ClassifierFactory& make_classifier, const LabelOracle& oracle,
     const TransferRunOptions& run_options) const {
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   ScopedReservation working_set;
   TRANSER_RETURN_IF_ERROR(CheckRunInputs(
       source, target, context, run_options.diagnostics, &working_set));

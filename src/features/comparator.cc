@@ -50,17 +50,6 @@ void PairComparator::CompareInto(const Record& left, const Record& right,
   }
 }
 
-FeatureMatrix PairComparator::CompareAll(
-    const Dataset& left, const Dataset& right,
-    const std::vector<PairRef>& pairs) const {
-  // The unlimited context never interrupts and the fill body never
-  // fails, so the parallel overload's status is always OK here.
-  auto out = CompareAll(left, right, pairs, ExecutionContext::Unlimited(),
-                        ParallelOptions{});
-  TRANSER_CHECK(out.ok());
-  return std::move(out.value());
-}
-
 Result<FeatureMatrix> PairComparator::CompareAll(
     const Dataset& left, const Dataset& right,
     const std::vector<PairRef>& pairs, const ExecutionContext& context,

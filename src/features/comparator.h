@@ -41,14 +41,11 @@ class PairComparator {
   void CompareInto(const Record& left, const Record& right,
                    std::span<double> out) const;
 
-  /// Compares every candidate pair, labelling each by entity-id equality.
-  FeatureMatrix CompareAll(const Dataset& left, const Dataset& right,
-                           const std::vector<PairRef>& pairs) const;
-
-  /// CompareAll over the parallel runtime: pairs are filled into
-  /// pre-sized rows in chunks, so the matrix is bit-identical for any
-  /// thread count. Workers poll `context`; a TE / ME / cancellation
-  /// surfaces as the usual FailedPrecondition.
+  /// Compares every candidate pair, labelling each by entity-id equality,
+  /// over the parallel runtime: pairs are filled into pre-sized rows in
+  /// chunks, so the matrix is bit-identical for any thread count.
+  /// Workers poll `context`; a TE / ME / cancellation surfaces as the
+  /// usual FailedPrecondition.
   Result<FeatureMatrix> CompareAll(const Dataset& left, const Dataset& right,
                                    const std::vector<PairRef>& pairs,
                                    const ExecutionContext& context,

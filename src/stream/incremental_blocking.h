@@ -15,22 +15,19 @@ namespace stream {
 struct IncrementalBlockingOptions {
   /// Attribute whose value derives the blocking key.
   size_t key_attribute = 0;
-  /// Lower-cased prefix length of the key attribute (the same key family
-  /// as StandardBlocker::AttributePrefixKey).
+  /// Lower-cased prefix length of the key attribute.
   size_t prefix_length = 3;
-  /// Blocks past this size stop emitting candidate pairs — the streaming
-  /// form of StandardBlockingOptions::max_block_size (a key shared by
-  /// thousands of records is non-discriminative and would make ingest
+  /// Blocks past this size stop emitting candidate pairs (a key shared
+  /// by thousands of records is non-discriminative and would make ingest
   /// cost quadratic).
   size_t max_block_size = 256;
 };
 
-/// \brief Streaming counterpart of blocking/standard_blocking: records
-/// are inserted one at a time and each insert returns the candidate
-/// partners the new record must be compared against. The batch blocker
-/// rebuilds its key map per call; this one is the long-lived index the
-/// ingest loop owns. Inserts are deterministic in insert order, which is
-/// the replay-determinism requirement (DESIGN.md §11).
+/// \brief Streaming key blocking: records are inserted one at a time and
+/// each insert returns the candidate partners the new record must be
+/// compared against. This is the long-lived index the ingest loop owns.
+/// Inserts are deterministic in insert order, which is the
+/// replay-determinism requirement (DESIGN.md §11).
 class IncrementalBlockingIndex {
  public:
   explicit IncrementalBlockingIndex(IncrementalBlockingOptions options = {})

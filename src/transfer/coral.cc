@@ -31,9 +31,7 @@ Result<std::vector<int>> CoralTransfer::Run(
   }
   // The m x m eigen-problems are negligible; the domain copies and the
   // classifier fit still observe the shared budget.
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   TRANSER_RETURN_IF_ERROR(context.Check("coral", run_options.diagnostics));
   ScopedReservation working_set;
   TRANSER_RETURN_IF_ERROR(working_set.Acquire(

@@ -39,9 +39,7 @@ Result<std::vector<int>> DrTransfer::Run(
     return Status::InvalidArgument(
         "source and target feature spaces differ");
   }
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   TRANSER_RETURN_IF_ERROR(context.Check("dr", run_options.diagnostics));
   ScopedReservation working_set;
   TRANSER_RETURN_IF_ERROR(working_set.Acquire(

@@ -13,9 +13,7 @@ Result<std::vector<int>> DtalTransfer::Run(
     return Status::InvalidArgument(
         "source and target feature spaces differ");
   }
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   TRANSER_RETURN_IF_ERROR(context.Check("dtal", run_options.diagnostics));
   ScopedReservation working_set;
   TRANSER_RETURN_IF_ERROR(working_set.Acquire(

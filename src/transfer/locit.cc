@@ -40,9 +40,7 @@ std::vector<double> PairFeatures(const LocalStats& a, const LocalStats& b) {
 Result<std::vector<size_t>> LocItTransfer::SelectInstances(
     const FeatureMatrix& source, const FeatureMatrix& target,
     const TransferRunOptions& run_options) const {
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   RunDiagnostics* diagnostics = run_options.diagnostics;
   TRANSER_RETURN_IF_ERROR(context.Check("locit", diagnostics));
   const Matrix x_source = source.ToMatrix();
@@ -137,9 +135,7 @@ Result<std::vector<int>> LocItTransfer::Run(
     return Status::InvalidArgument(
         "source and target feature spaces differ");
   }
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   TRANSER_RETURN_IF_ERROR(context.Check("locit", run_options.diagnostics));
   ScopedReservation working_set;
   TRANSER_RETURN_IF_ERROR(working_set.Acquire(
@@ -147,9 +143,7 @@ Result<std::vector<int>> LocItTransfer::Run(
       transfer_internal::DomainWorkingSetBytes(source, target),
       run_options.diagnostics));
 
-  TransferRunOptions select_options = run_options;
-  select_options.context = &context;  // share the budget with SEL
-  auto selected = SelectInstances(source, target, select_options);
+  auto selected = SelectInstances(source, target, run_options);
   if (!selected.ok()) return selected.status();
 
   // With nothing transferable (or a single class), LocIT* labels

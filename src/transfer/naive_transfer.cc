@@ -12,9 +12,7 @@ Result<std::vector<int>> NaiveTransfer::Run(
   }
   // No transfer machinery of its own, but the domain copies and the
   // classifier fit still observe the shared budget.
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   TRANSER_RETURN_IF_ERROR(context.Check("naive", run_options.diagnostics));
   ScopedReservation working_set;
   TRANSER_RETURN_IF_ERROR(working_set.Acquire(

@@ -43,9 +43,7 @@ void Orthonormalize(std::vector<std::vector<double>>* q) {
 Result<Matrix> TcaTransfer::Embed(const Matrix& x_source,
                                   const Matrix& x_target,
                                   const TransferRunOptions& run_options) const {
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   const size_t ns = x_source.rows();
   const size_t nt = x_target.rows();
   const size_t n = ns + nt;
@@ -116,9 +114,7 @@ Result<std::vector<int>> TcaTransfer::Run(
     return Status::InvalidArgument(
         "source and target feature spaces differ");
   }
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
+  const ExecutionContext& context = *run_options.context;
   TRANSER_RETURN_IF_ERROR(context.Check("tca", run_options.diagnostics));
   ScopedReservation working_set;
   TRANSER_RETURN_IF_ERROR(working_set.Acquire(
@@ -128,9 +124,7 @@ Result<std::vector<int>> TcaTransfer::Run(
 
   const Matrix x_source = source.ToMatrix();
   const Matrix x_target = target.ToMatrix();
-  TransferRunOptions embed_options = run_options;
-  embed_options.context = &context;  // share the budget with Embed
-  auto embedding = Embed(x_source, x_target, embed_options);
+  auto embedding = Embed(x_source, x_target, run_options);
   if (!embedding.ok()) return embedding.status();
 
   const size_t ns = x_source.rows();

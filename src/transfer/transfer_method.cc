@@ -21,19 +21,6 @@ KnnBackendOptions ResolveKnnBackendOptions(
   return knn;
 }
 
-const ExecutionContext& ResolveExecutionContext(
-    const TransferRunOptions& run_options,
-    std::optional<ExecutionContext>* local) {
-  if (run_options.context != nullptr) return *run_options.context;
-  if (run_options.time_limit_seconds <= 0.0 &&
-      run_options.memory_limit_bytes == 0) {
-    return ExecutionContext::Unlimited();
-  }
-  local->emplace(ExecutionLimits{run_options.time_limit_seconds,
-                                 run_options.memory_limit_bytes});
-  return **local;
-}
-
 void FitClassifierWithRunOptions(Classifier* classifier,
                                  const FeatureMatrix& x,
                                  const std::vector<int>& y,

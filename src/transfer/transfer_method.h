@@ -1,7 +1,6 @@
 #ifndef TRANSER_TRANSFER_TRANSFER_METHOD_H_
 #define TRANSER_TRANSFER_TRANSFER_METHOD_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,13 +13,9 @@
 
 namespace transer {
 
-/// \brief Per-run controls for a transfer method. The paper capped every
-/// experiment at 200 GB / 72 h (Section 5.1.1, 'ME' / 'TE' cells); the
-/// benchmark harness sets proportionally scaled limits here.
+/// \brief Per-run controls for a transfer method.
 struct TransferRunOptions {
   uint64_t seed = 0;
-  double time_limit_seconds = 0.0;   ///< 0 = unlimited
-  size_t memory_limit_bytes = 0;     ///< 0 = unlimited
   /// Worker lanes for the parallel hot paths (comparison, kNN, ensemble
   /// fitting). 0 = the process default (hardware width or the binary's
   /// --threads flag). Results are bit-identical for every value — see
@@ -30,11 +25,11 @@ struct TransferRunOptions {
   /// (threshold relaxations, fallbacks, skipped phases) and for the
   /// budget outcomes (TE / ME / cancellation). Not owned.
   RunDiagnostics* diagnostics = nullptr;
-  /// Shared execution control (deadline, cancellation, memory budget,
-  /// heartbeat). When set it takes precedence over the two limit fields
-  /// above, which remain as a convenience for callers that do not manage
-  /// a context of their own. Not owned.
-  const ExecutionContext* context = nullptr;
+  /// The run's execution control (deadline, cancellation, memory budget,
+  /// heartbeat): the only way to bound a run. The paper capped every
+  /// experiment at 200 GB / 72 h (Section 5.1.1, 'ME' / 'TE' cells).
+  /// Never null. Not owned.
+  const ExecutionContext* context = &ExecutionContext::Unlimited();
   /// Train the method's classifiers through the sparse feature path:
   /// instance matrices are converted to CSR (dropping exact zeros) and
   /// linear classifiers fit through FeatureView without ever
@@ -78,15 +73,6 @@ struct TransferRunOptions {
 /// the already-resolved lane count, not the raw option).
 KnnBackendOptions ResolveKnnBackendOptions(
     const TransferRunOptions& run_options, int num_threads);
-
-/// Resolves the effective execution context of a run: the caller's
-/// shared context when `run_options.context` is set, otherwise a fresh
-/// context built from the options' limit fields and emplaced into
-/// `local` (whose lifetime the caller owns — typically a stack
-/// `std::optional` alive for the whole run).
-const ExecutionContext& ResolveExecutionContext(
-    const TransferRunOptions& run_options,
-    std::optional<ExecutionContext>* local);
 
 /// \brief A transfer-learning ER method: given a labelled source feature
 /// matrix and an unlabelled target feature matrix over the same feature

@@ -18,12 +18,15 @@ bool ExecutionContext::Expired() const {
   // the first cooperative check, not after a whole stride).
   const uint32_t poll =
       deadline_poll_count_.fetch_add(1, std::memory_order_relaxed);
-  if (poll % kDeadlineCheckStride != 0) return false;
-  if (stopwatch_.ElapsedSeconds() > limits_.time_limit_seconds) {
-    expired_.store(true, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  return poll % kDeadlineCheckStride == 0 && DeadlinePassed();
+}
+
+bool ExecutionContext::DeadlinePassed() const {
+  if (limits_.time_limit_seconds <= 0.0) return false;
+  if (expired_.load(std::memory_order_relaxed)) return true;
+  if (stopwatch_.ElapsedSeconds() <= limits_.time_limit_seconds) return false;
+  expired_.store(true, std::memory_order_relaxed);
+  return true;
 }
 
 Status ExecutionContext::TimeExceeded(const std::string& scope) {
@@ -45,7 +48,7 @@ Status ExecutionContext::Check(const std::string& scope,
     }
     return CancelledError(scope);
   }
-  if (Expired()) {
+  if (DeadlinePassed()) {
     if (diagnostics != nullptr &&
         !time_recorded_.exchange(true, std::memory_order_relaxed)) {
       diagnostics->Add(DegradationKind::kTimeLimitExceeded, scope,

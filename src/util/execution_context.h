@@ -28,12 +28,13 @@ class CancellationToken {
   std::atomic<bool> cancelled_{false};
 };
 
-/// \brief The resource caps of one run. Zero means unlimited, matching
-/// the previous TransferRunOptions convention (and the paper's 72 h /
-/// 200 GB experiment caps when set, Section 5.1.1).
+/// \brief The resource caps of one run. Zero means unlimited. The paper
+/// capped every experiment at 72 h / 200 GB (Section 5.1.1).
 struct ExecutionLimits {
   double time_limit_seconds = 0.0;  ///< 0 = unlimited
   size_t memory_limit_bytes = 0;    ///< 0 = unlimited
+
+  bool operator==(const ExecutionLimits&) const = default;
 };
 
 /// \brief One progress heartbeat: the stage a run is in and how far
@@ -55,7 +56,8 @@ using ProgressCallback = std::function<void(const ProgressEvent&)>;
 /// paper's `TE` / `ME` `FailedPrecondition` statuses. Clock reads are
 /// amortised: `Expired()` consults the stopwatch only every
 /// `kDeadlineCheckStride` calls and latches once true, so a tight loop
-/// pays an atomic increment, not a syscall, per iteration.
+/// pays an atomic increment, not a syscall, per iteration. `Check()`
+/// reads the clock on every call.
 ///
 /// Deadline/cancellation/memory state is safe to poll from several
 /// threads; the heartbeat (`BeginStage` / `ReportProgress`) is
@@ -99,7 +101,10 @@ class ExecutionContext {
 
   /// OK, or the TE / cancellation FailedPrecondition for `scope` (e.g.
   /// a method or stage name). On first failure the outcome is recorded
-  /// in `diagnostics` (when given); repeats are not re-recorded.
+  /// in `diagnostics` (when given); repeats are not re-recorded. Unlike
+  /// Expired(), reads the clock on every call: a context polled only at
+  /// coarse boundaries (a sweep checks once per cell) must see a passed
+  /// deadline at the first boundary after it.
   Status Check(const std::string& scope,
                RunDiagnostics* diagnostics = nullptr) const;
 
@@ -146,9 +151,16 @@ class ExecutionContext {
   // --- introspection ------------------------------------------------
 
   const ExecutionLimits& limits() const { return limits_; }
+  /// The attached token (nullptr when none), so a nested context — a
+  /// sweep cell under its own limits — can observe the same
+  /// cancellation.
+  const CancellationToken* cancellation_token() const { return cancel_; }
   double ElapsedSeconds() const { return stopwatch_.ElapsedSeconds(); }
 
  private:
+  /// The deadline test without amortisation (reads the clock, latches).
+  bool DeadlinePassed() const;
+
   ExecutionLimits limits_;
   const CancellationToken* cancel_ = nullptr;  ///< not owned
   ProgressCallback progress_;

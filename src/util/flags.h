@@ -1,10 +1,12 @@
 #ifndef TRANSER_UTIL_FLAGS_H_
 #define TRANSER_UTIL_FLAGS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,6 +63,32 @@ class Flags {
     return value;
   }
 
+  /// A time budget in seconds, 0 = unlimited. Anything but a finite
+  /// value >= 0 exits 2 (`inf` too: 0 already means unlimited).
+  double GetTimeLimitSeconds(const std::string& name, double fallback) const {
+    const double seconds = GetDouble(name, fallback);
+    if (!(seconds >= 0.0 && std::isfinite(seconds))) {
+      BadValue(name, Find(name).value_or(""),
+               "a finite number of seconds >= 0");
+    }
+    return seconds;
+  }
+
+  /// A memory budget given in megabytes and returned in bytes, 0 =
+  /// unlimited. Anything but an integer >= 0 whose byte count fits
+  /// size_t exits 2.
+  size_t GetMemoryLimitBytes(const std::string& name,
+                             double fallback_mb) const {
+    constexpr double kMaxMb =
+        static_cast<double>(std::numeric_limits<size_t>::max() >> 20);
+    const double mb = GetDouble(name, fallback_mb);
+    if (!(mb >= 0.0 && mb <= kMaxMb && mb == std::floor(mb))) {
+      BadValue(name, Find(name).value_or(""),
+               "an integer number of MB >= 0 that fits size_t");
+    }
+    return static_cast<size_t>(mb) << 20;
+  }
+
   /// Anything but "false" or "0" is true.
   bool GetBool(const std::string& name, bool fallback) const {
     const std::optional<std::string> raw = Find(name);
@@ -85,9 +113,11 @@ class Flags {
   }
 
   [[noreturn]] static void BadValue(const std::string& name,
-                                    const std::string& raw) {
-    std::fprintf(stderr, "bad value for --%s: %s\n", name.c_str(),
-                 raw.c_str());
+                                    const std::string& raw,
+                                    const char* expected = nullptr) {
+    std::fprintf(stderr, "bad value for --%s: %s", name.c_str(), raw.c_str());
+    if (expected != nullptr) std::fprintf(stderr, " (expected %s)", expected);
+    std::fputc('\n', stderr);
     std::exit(2);
   }
 

@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "blocking/minhash_lsh.h"
-#include "blocking/sorted_neighbourhood.h"
-#include "blocking/standard_blocking.h"
 #include "data/bibliographic_generator.h"
+#include "util/execution_context.h"
 
 namespace transer {
 namespace {
@@ -35,43 +34,12 @@ std::set<std::pair<size_t, size_t>> ToSet(const std::vector<PairRef>& pairs) {
   return out;
 }
 
-// ---------- standard blocking ----------
-
-TEST(StandardBlockingTest, GroupsByKeyPrefix) {
-  const LinkageProblem problem = SmallProblem();
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 2));
-  const auto pairs = ToSet(blocker.Block(problem.left, problem.right));
-  // "al" block: (l0, r0); "ca" block: (l2, r2); no cross-block pairs.
-  EXPECT_TRUE(pairs.count({0, 0}));
-  EXPECT_TRUE(pairs.count({2, 2}));
-  EXPECT_FALSE(pairs.count({1, 1}));
-  EXPECT_EQ(pairs.size(), 2u);
-}
-
-TEST(StandardBlockingTest, SkipsOversizedBlocks) {
-  Schema schema({{"k", "exact"}});
-  LinkageProblem problem;
-  problem.left = Dataset("l", schema);
-  problem.right = Dataset("r", schema);
-  for (int i = 0; i < 20; ++i) {
-    problem.left.Add({"l" + std::to_string(i), i, {"same"}});
-    problem.right.Add({"r" + std::to_string(i), i, {"same"}});
-  }
-  StandardBlockingOptions options;
-  options.max_block_size = 10;
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 4), options);
-  EXPECT_TRUE(blocker.Block(problem.left, problem.right).empty());
-}
-
-TEST(StandardBlockingTest, EmptyKeysAreIgnored) {
-  Schema schema({{"k", "exact"}});
-  LinkageProblem problem;
-  problem.left = Dataset("l", schema);
-  problem.right = Dataset("r", schema);
-  problem.left.Add({"l0", 0, {""}});
-  problem.right.Add({"r0", 0, {""}});
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 3));
-  EXPECT_TRUE(blocker.Block(problem.left, problem.right).empty());
+// The unlimited context never interrupts, so value() cannot abort.
+std::vector<PairRef> Block(const MinHashLshBlocker& blocker,
+                           const LinkageProblem& problem) {
+  return blocker
+      .Block(problem.left, problem.right, ExecutionContext::Unlimited())
+      .value();
 }
 
 // ---------- MinHash LSH ----------
@@ -122,7 +90,7 @@ TEST(MinHashLshTest, BlocksFindTrueMatchesWithHighRecall) {
   const LinkageProblem problem = GenerateBibliographic(gen_options);
 
   MinHashLshBlocker blocker;
-  const auto pairs = blocker.Block(problem.left, problem.right);
+  const auto pairs = Block(blocker, problem);
   size_t found_matches = 0;
   for (const auto& pair : pairs) {
     if (problem.left.record(pair.left_index).entity_id ==
@@ -132,19 +100,39 @@ TEST(MinHashLshTest, BlocksFindTrueMatchesWithHighRecall) {
   }
   const size_t total_matches = problem.CountTrueMatches();
   // LSH blocking must retain the vast majority of true matches while
-  // pruning most of the |L| x |R| comparison space.
+  // pruning most of the |L| x |R| comparison space, and true matches
+  // must not drown among the candidates (pairs quality above 5%).
   EXPECT_GT(static_cast<double>(found_matches) /
                 static_cast<double>(total_matches),
             0.9);
   EXPECT_LT(pairs.size(), problem.left.size() * problem.right.size() / 4);
+  EXPECT_GT(found_matches * 20, pairs.size())
+      << found_matches << " true matches in " << pairs.size();
 }
 
 TEST(MinHashLshTest, PairsAreDeduplicated) {
   const LinkageProblem problem = SmallProblem();
   MinHashLshBlocker blocker;
-  const auto pairs = blocker.Block(problem.left, problem.right);
+  const auto pairs = Block(blocker, problem);
   const auto unique = ToSet(pairs);
   EXPECT_EQ(unique.size(), pairs.size());
+}
+
+TEST(MinHashLshTest, SkipsBucketsOverMaxBucketSize) {
+  // Identical records share every band bucket: one bucket of 20 per side.
+  Schema schema({{"k", "exact"}});
+  LinkageProblem problem;
+  problem.left = Dataset("l", schema);
+  problem.right = Dataset("r", schema);
+  for (int i = 0; i < 20; ++i) {
+    problem.left.Add({"l" + std::to_string(i), i, {"same"}});
+    problem.right.Add({"r" + std::to_string(i), i, {"same"}});
+  }
+  MinHashLshOptions options;
+  options.max_bucket_size = 20;
+  EXPECT_EQ(Block(MinHashLshBlocker(options), problem).size(), 400u);
+  options.max_bucket_size = 19;
+  EXPECT_TRUE(Block(MinHashLshBlocker(options), problem).empty());
 }
 
 TEST(MinHashLshTest, AttributeSubsetRestrictsShingles) {
@@ -154,35 +142,6 @@ TEST(MinHashLshTest, AttributeSubsetRestrictsShingles) {
   Record a{"a", 0, {"totally different title", "portree"}};
   Record b{"b", 1, {"another unrelated title!", "portree"}};
   EXPECT_EQ(blocker.Signature(a), blocker.Signature(b));
-}
-
-// ---------- sorted neighbourhood ----------
-
-TEST(SortedNeighbourhoodTest, WindowCapturesAdjacentKeys) {
-  const LinkageProblem problem = SmallProblem();
-  SortedNeighbourhoodOptions options;
-  options.window = 3;
-  SortedNeighbourhoodBlocker blocker(
-      StandardBlocker::AttributePrefixKey(0, 5), options);
-  const auto pairs = ToSet(blocker.Block(problem.left, problem.right));
-  // "alice..." sorts next to "alice..." across databases.
-  EXPECT_TRUE(pairs.count({0, 0}));
-}
-
-TEST(SortedNeighbourhoodTest, LargerWindowNeverReturnsFewerPairs) {
-  BibliographicOptions gen_options;
-  gen_options.num_entities = 100;
-  const LinkageProblem problem = GenerateBibliographic(gen_options);
-  SortedNeighbourhoodOptions narrow_options;
-  narrow_options.window = 3;
-  SortedNeighbourhoodOptions wide_options;
-  wide_options.window = 9;
-  SortedNeighbourhoodBlocker narrow(
-      StandardBlocker::AttributePrefixKey(0, 6), narrow_options);
-  SortedNeighbourhoodBlocker wide(
-      StandardBlocker::AttributePrefixKey(0, 6), wide_options);
-  EXPECT_GE(wide.Block(problem.left, problem.right).size(),
-            narrow.Block(problem.left, problem.right).size());
 }
 
 }  // namespace

@@ -5,15 +5,15 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "blocking/minhash_lsh.h"
-#include "blocking/sorted_neighbourhood.h"
-#include "blocking/standard_blocking.h"
 #include "core/experiment.h"
 #include "core/transer.h"
 #include "data/feature_space_generator.h"
@@ -75,6 +75,18 @@ TEST(ExecutionContextTest, NearZeroDeadlineExpiresOnFirstPoll) {
   EXPECT_NE(status.message().find("(TE)"), std::string::npos);
   // Expiry latches: once seen, every later poll is expired too.
   EXPECT_TRUE(context.Expired());
+}
+
+TEST(ExecutionContextTest, CheckReadsTheClockOnEveryCall) {
+  // A context polled only at coarse boundaries sees a passed deadline at
+  // the next Check, not after a whole stride of polls.
+  ExecutionContext context({/*time=*/0.2, /*memory=*/0});
+  EXPECT_TRUE(context.Check("unit").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const Status status = context.Check("unit");
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("(TE)"), std::string::npos);
+  EXPECT_TRUE(context.Expired());  // latched
 }
 
 TEST(ExecutionContextTest, GenerousDeadlineStaysLive) {
@@ -174,8 +186,9 @@ TEST_P(MethodBudgetTest, TightDeadlineProducesTe) {
   const auto methods = DefaultMethodLineup();
   const auto& method = *methods[GetParam()];
   const DomainPair pair = MakePair();
+  ExecutionContext context({/*time=*/1e-9, /*memory=*/0});
   TransferRunOptions run_options;
-  run_options.time_limit_seconds = 1e-9;
+  run_options.context = &context;
   RunDiagnostics diagnostics;
   run_options.diagnostics = &diagnostics;
   auto predicted = method.Run(pair.source, pair.target.WithoutLabels(),
@@ -191,8 +204,10 @@ TEST_P(MethodBudgetTest, TinyMemoryBudgetProducesMe) {
   const auto methods = DefaultMethodLineup();
   const auto& method = *methods[GetParam()];
   const DomainPair pair = MakePair();
+  // 1 KB: far below the working set.
+  ExecutionContext context({/*time=*/0.0, /*memory=*/1024});
   TransferRunOptions run_options;
-  run_options.memory_limit_bytes = 1024;  // far below the working set
+  run_options.context = &context;
   RunDiagnostics diagnostics;
   run_options.diagnostics = &diagnostics;
   auto predicted = method.Run(pair.source, pair.target.WithoutLabels(),
@@ -300,9 +315,10 @@ LinkageProblem OneKeyProblem(size_t per_side) {
   return problem;
 }
 
-TEST(BlockingBudgetTest, StandardBlockingReportsMe) {
-  const LinkageProblem problem = OneKeyProblem(40);  // 1600 candidate pairs
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 4));
+TEST(BlockingBudgetTest, MinHashLshReportsMe) {
+  // 20 records x 32 signature rows x 8 bytes = 5120 bytes of signatures.
+  const LinkageProblem problem = OneKeyProblem(10);
+  MinHashLshBlocker blocker;
   ExecutionContext context({/*time=*/0.0, /*memory=*/1024});
   RunDiagnostics diagnostics;
   auto pairs =
@@ -310,25 +326,7 @@ TEST(BlockingBudgetTest, StandardBlockingReportsMe) {
   ASSERT_FALSE(pairs.ok());
   EXPECT_NE(pairs.status().message().find("(ME)"), std::string::npos);
   EXPECT_TRUE(diagnostics.HasKind(DegradationKind::kMemoryLimitExceeded));
-}
-
-TEST(BlockingBudgetTest, StandardBlockingReportsTe) {
-  const LinkageProblem problem = OneKeyProblem(10);
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 4));
-  ExecutionContext context({/*time=*/1e-9, /*memory=*/0});
-  auto pairs = blocker.Block(problem.left, problem.right, context);
-  ASSERT_FALSE(pairs.ok());
-  EXPECT_NE(pairs.status().message().find("(TE)"), std::string::npos);
-}
-
-TEST(BlockingBudgetTest, SortedNeighbourhoodReportsTe) {
-  const LinkageProblem problem = OneKeyProblem(10);
-  SortedNeighbourhoodBlocker blocker(
-      StandardBlocker::AttributePrefixKey(0, 4));
-  ExecutionContext context({/*time=*/1e-9, /*memory=*/0});
-  auto pairs = blocker.Block(problem.left, problem.right, context);
-  ASSERT_FALSE(pairs.ok());
-  EXPECT_NE(pairs.status().message().find("(TE)"), std::string::npos);
+  EXPECT_EQ(context.reserved_bytes(), 0u);
 }
 
 TEST(BlockingBudgetTest, MinHashLshReportsTe) {
@@ -338,16 +336,6 @@ TEST(BlockingBudgetTest, MinHashLshReportsTe) {
   auto pairs = blocker.Block(problem.left, problem.right, context);
   ASSERT_FALSE(pairs.ok());
   EXPECT_NE(pairs.status().message().find("(TE)"), std::string::npos);
-}
-
-TEST(BlockingBudgetTest, ContextVariantMatchesPlainBlocking) {
-  const LinkageProblem problem = OneKeyProblem(10);
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 4));
-  const auto plain = blocker.Block(problem.left, problem.right);
-  auto budgeted = blocker.Block(problem.left, problem.right,
-                                ExecutionContext::Unlimited());
-  ASSERT_TRUE(budgeted.ok());
-  EXPECT_EQ(budgeted.value().size(), plain.size());
 }
 
 // ---------- kNN under a budget ----------

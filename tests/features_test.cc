@@ -114,8 +114,10 @@ TEST(PairComparatorTest, CompareAllLabelsFromEntityIds) {
   right.Add({"r1", 8, {"graph mining", "2001"}});
   auto comparator = PairComparator::Create(BibSchema(), BibSchema());
   ASSERT_TRUE(comparator.ok());
-  const FeatureMatrix features = comparator.value().CompareAll(
-      left, right, {{0, 0}, {0, 1}});
+  auto compared = comparator.value().CompareAll(
+      left, right, {{0, 0}, {0, 1}}, ExecutionContext::Unlimited(), {});
+  ASSERT_TRUE(compared.ok());
+  const FeatureMatrix& features = compared.value();
   ASSERT_EQ(features.size(), 2u);
   EXPECT_EQ(features.label(0), kMatch);
   EXPECT_EQ(features.label(1), kNonMatch);

@@ -1,14 +1,10 @@
 // Tests of the additional classifier families (gradient boosting,
-// threshold rule), the TrAdaBoost semi-supervised transfer method, and
-// the blocking-quality measures.
+// threshold rule) and the TrAdaBoost semi-supervised transfer method.
 
 #include <memory>
 
 #include <gtest/gtest.h>
 
-#include "blocking/blocking_metrics.h"
-#include "blocking/minhash_lsh.h"
-#include "data/bibliographic_generator.h"
 #include "data/feature_space_generator.h"
 #include "eval/metrics.h"
 #include "ml/decision_tree.h"
@@ -216,50 +212,6 @@ TEST(TrAdaBoostTest, PredictsEveryUnlabeledInstance) {
                              target.WithoutLabels(), MakeStumpFactory());
   ASSERT_TRUE(predicted.ok());
   EXPECT_EQ(predicted.value().size(), target.size());
-}
-
-// ---------- blocking metrics ----------
-
-TEST(BlockingMetricsTest, PerfectBlockerScoresPerfectly) {
-  BibliographicOptions options;
-  options.num_entities = 150;
-  const LinkageProblem problem = GenerateBibliographic(options);
-  // "Blocker" that emits exactly the true matching pairs.
-  std::vector<PairRef> pairs;
-  for (size_t i = 0; i < problem.left.size(); ++i) {
-    for (size_t j = 0; j < problem.right.size(); ++j) {
-      if (problem.left.record(i).entity_id ==
-          problem.right.record(j).entity_id) {
-        pairs.push_back({i, j});
-      }
-    }
-  }
-  const BlockingQuality quality = EvaluateBlocking(problem, pairs);
-  EXPECT_DOUBLE_EQ(quality.PairsCompleteness(), 1.0);
-  EXPECT_DOUBLE_EQ(quality.PairsQuality(), 1.0);
-  EXPECT_GT(quality.ReductionRatio(), 0.99);
-}
-
-TEST(BlockingMetricsTest, LshBlockerTradesOffCompletenessAndReduction) {
-  BibliographicOptions options;
-  options.num_entities = 250;
-  const LinkageProblem problem = GenerateBibliographic(options);
-  MinHashLshBlocker blocker;
-  const BlockingQuality quality =
-      EvaluateBlocking(problem, blocker.Block(problem.left, problem.right));
-  EXPECT_GT(quality.PairsCompleteness(), 0.9);
-  EXPECT_GT(quality.ReductionRatio(), 0.5);
-  EXPECT_GT(quality.PairsQuality(), 0.05);
-}
-
-TEST(BlockingMetricsTest, EmptyCandidateSet) {
-  BibliographicOptions options;
-  options.num_entities = 30;
-  const LinkageProblem problem = GenerateBibliographic(options);
-  const BlockingQuality quality = EvaluateBlocking(problem, {});
-  EXPECT_DOUBLE_EQ(quality.PairsCompleteness(), 0.0);
-  EXPECT_DOUBLE_EQ(quality.PairsQuality(), 0.0);
-  EXPECT_DOUBLE_EQ(quality.ReductionRatio(), 1.0);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Tests for the crash-safe sweep checkpoint: framed record round-trips,
 // durability under fsync / disk-full faults, torn-tail tolerance, and
 // RunCheckpointedSweep resume semantics at 1 and 4 threads (bit-identical
-// resumed aggregates, TE/ME skip, bounded transient retry, seed-mismatch
-// rejection).
+// resumed aggregates, TE/ME skip, bounded transient retry, seed- and
+// budget-mismatch rejection, per-cell limits, sweep cancellation).
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,6 +36,7 @@ SweepCellRecord MakeRecord() {
   SweepCellRecord record;
   record.key = {"transer", "A -> B", "svm"};
   record.seed = 12033;
+  record.limits = {/*time=*/0.1, /*memory=*/64 << 20};
   record.quality.precision = 1.0 / 3.0;  // not representable in decimal
   record.quality.recall = 0.875;
   record.quality.f1 = 2.0 / 7.0;
@@ -99,6 +102,7 @@ void ExpectSameResults(const std::vector<MethodScenarioResult>& a,
 void ExpectSameRecord(const SweepCellRecord& a, const SweepCellRecord& b) {
   EXPECT_EQ(a.key, b.key);
   EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.limits, b.limits);
   EXPECT_EQ(a.failure, b.failure);
   EXPECT_EQ(a.quality.precision, b.quality.precision);
   EXPECT_EQ(a.quality.recall, b.quality.recall);
@@ -142,9 +146,11 @@ TEST(SweepCellRecordTest, DecodeRejectsMalformedPayloads) {
   std::vector<uint8_t> longer = full;
   longer.push_back(0);
   EXPECT_FALSE(DecodeSweepCellRecord(longer).ok());
-  std::vector<uint8_t> future = full;
-  future[0] = 0x7F;  // record layout version
-  EXPECT_FALSE(DecodeSweepCellRecord(future).ok());
+  for (const uint8_t version : {uint8_t{1}, uint8_t{0x7F}}) {
+    std::vector<uint8_t> other = full;
+    other[0] = version;  // record layout version; 1 had no cell limits
+    EXPECT_FALSE(DecodeSweepCellRecord(other).ok()) << int{version};
+  }
 }
 
 // ---------- journal durability ----------
@@ -573,6 +579,7 @@ TEST_P(CheckpointedSweepTest, SeedMismatchIsRejected) {
     SweepCellRecord foreign = MakeRecord();
     foreign.key = {"naive", "A -> B", suite[0].name};
     foreign.seed = 999999;  // journal from a different base seed
+    foreign.limits = options.cell_limits;  // only the seed differs
     ASSERT_TRUE(journal.value().Record(foreign).ok());
   }
   auto sweep = RunCheckpointedSweep(NaiveOnly(), scenarios, suite, options);
@@ -581,29 +588,174 @@ TEST_P(CheckpointedSweepTest, SeedMismatchIsRejected) {
             std::string::npos);
 }
 
-TEST_P(CheckpointedSweepTest, SweepContextWithPerCellLimitsIsRefused) {
-  // A cell given the sweep context ignores the per-run limit fields, so
-  // the pair is refused up front instead of running the cells unlimited.
+TEST_P(CheckpointedSweepTest, BudgetMismatchIsRejected) {
+  const std::string path = TempJournalPath("budget_mismatch");
+  std::vector<TransferScenario> scenarios;
+  scenarios.push_back(MakeScenario("A -> B", 300, 29));
+  const auto suite = DefaultClassifierSuite();
+
+  // Journal under a cell budget every run overshoots: the first cell is
+  // recorded as TE.
+  SweepOptions options;
+  options.base_options.seed = 33;
+  options.base_options.num_threads = GetParam();
+  options.checkpoint_path = path;
+  options.cell_limits.time_limit_seconds = 1e-9;
+  auto tight = RunCheckpointedSweep(NaiveOnly(), scenarios, suite, options);
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  ASSERT_EQ(tight.value()[0].failure, "TE");
+  std::vector<uint8_t> journaled;
+  ASSERT_TRUE(fault::ReadFileBytes(path, &journaled).ok());
+
+  // That TE says nothing about a 600 s budget: the resume is refused
+  // instead of replaying it.
+  options.cell_limits.time_limit_seconds = 600.0;
+  auto resumed = RunCheckpointedSweep(NaiveOnly(), scenarios, suite, options);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(resumed.status().message().find("different sweep"),
+            std::string::npos);
+  EXPECT_NE(resumed.status().message().find("1e-09s"), std::string::npos)
+      << resumed.status().message();
+  EXPECT_NE(resumed.status().message().find("600s"), std::string::npos)
+      << resumed.status().message();
+  std::vector<uint8_t> after;
+  ASSERT_TRUE(fault::ReadFileBytes(path, &after).ok());
+  EXPECT_EQ(after, journaled);
+}
+
+TEST_P(CheckpointedSweepTest, CellLimitsBoundEachCellUnderASweepContext) {
   std::vector<TransferScenario> scenarios;
   scenarios.push_back(MakeScenario("A -> B", 300, 27));
   const auto suite = DefaultClassifierSuite();
-  ExecutionContext sweep_context;
-  for (const bool time_limited : {true, false}) {
-    const std::string path = TempJournalPath("refused_limits");
+  CancellationToken token;
+  ExecutionContext sweep_context({}, &token);
+  const ExecutionLimits te_limits{/*time=*/1e-9, /*memory=*/0};
+  const ExecutionLimits me_limits{/*time=*/0.0, /*memory=*/1024};
+  for (const ExecutionLimits& limits : {te_limits, me_limits}) {
+    const std::string path = TempJournalPath("cell_limits");
     SweepOptions options;
     options.base_options.seed = 33;
     options.base_options.num_threads = GetParam();
     options.base_options.context = &sweep_context;
-    if (time_limited) {
-      options.base_options.time_limit_seconds = 1e-9;
-    } else {
-      options.base_options.memory_limit_bytes = 1024;
-    }
+    options.cell_limits = limits;
     options.checkpoint_path = path;
+    const std::string expected = limits == te_limits ? "TE" : "ME";
     auto sweep = RunCheckpointedSweep(NaiveOnly(), scenarios, suite, options);
-    ASSERT_FALSE(sweep.ok());
-    EXPECT_EQ(sweep.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_FALSE(std::ifstream(path).good()) << "nothing may be journaled";
+    ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+    EXPECT_EQ(sweep.value()[0].failure, expected);
+
+    auto journal = SweepCheckpoint::Open(path);
+    ASSERT_TRUE(journal.ok());
+    const SweepCellRecord* cell =
+        journal.value().Find({"naive", "A -> B", suite[0].name});
+    ASSERT_NE(cell, nullptr);
+    EXPECT_EQ(cell->failure, expected);
+    EXPECT_EQ(cell->limits, limits);
+  }
+}
+
+/// Cancels the sweep from inside its own run, as an operator interrupt
+/// arriving mid-cell would, then reports what its context says.
+class CancellingMethod : public TransferMethod {
+ public:
+  explicit CancellingMethod(CancellationToken* token) : token_(token) {}
+  std::string name() const override { return "cancelling"; }
+  Result<std::vector<int>> Run(
+      const FeatureMatrix& /*source*/, const FeatureMatrix& target,
+      const ClassifierFactory& /*make_classifier*/,
+      const TransferRunOptions& run_options) const override {
+    token_->Cancel();
+    TRANSER_RETURN_IF_ERROR(run_options.context->Check(name()));
+    return std::vector<int>(target.size(), kNonMatch);
+  }
+
+ private:
+  CancellationToken* token_;
+};
+
+TEST_P(CheckpointedSweepTest, SweepCancellationReachesARunningCell) {
+  const std::string path = TempJournalPath("cancel_mid_cell");
+  std::vector<TransferScenario> scenarios;
+  scenarios.push_back(MakeScenario("A -> B", 300, 30));
+  scenarios.push_back(MakeScenario("C -> D", 300, 31));
+  CancellationToken token;
+  ExecutionContext sweep_context({}, &token);
+  std::vector<std::unique_ptr<TransferMethod>> methods;
+  methods.push_back(std::make_unique<CancellingMethod>(&token));
+  SweepOptions options;
+  options.base_options.seed = 33;
+  options.base_options.num_threads = GetParam();
+  options.base_options.context = &sweep_context;
+  options.cell_limits = {/*time=*/600.0, /*memory=*/0};
+  options.checkpoint_path = path;
+  auto sweep = RunCheckpointedSweep(methods, scenarios,
+                                    DefaultClassifierSuite(), options);
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_NE(sweep.status().message().find("cancelled"), std::string::npos)
+      << sweep.status().ToString();
+  auto journal = SweepCheckpoint::Open(path);
+  ASSERT_TRUE(journal.ok());
+  EXPECT_EQ(journal.value().size(), 0u) << "nothing may be journaled";
+}
+
+/// Sleeps past the sweep's deadline, then reports what its own context
+/// says.
+class SlowMethod : public TransferMethod {
+ public:
+  explicit SlowMethod(double seconds) : seconds_(seconds) {}
+  std::string name() const override { return "slow"; }
+  Result<std::vector<int>> Run(
+      const FeatureMatrix& /*source*/, const FeatureMatrix& target,
+      const ClassifierFactory& /*make_classifier*/,
+      const TransferRunOptions& run_options) const override {
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds_));
+    TRANSER_RETURN_IF_ERROR(run_options.context->Check(name()));
+    return std::vector<int>(target.size(), kNonMatch);
+  }
+
+ private:
+  double seconds_;
+};
+
+TEST_P(CheckpointedSweepTest, SweepDeadlineStopsAtTheNextCellBoundary) {
+  const std::string path = TempJournalPath("sweep_deadline");
+  std::vector<TransferScenario> scenarios;
+  scenarios.push_back(MakeScenario("A -> B", 300, 32));
+  scenarios.push_back(MakeScenario("C -> D", 300, 33));
+  const auto suite = DefaultClassifierSuite();
+  std::vector<std::unique_ptr<TransferMethod>> methods;
+  methods.push_back(std::make_unique<SlowMethod>(/*seconds=*/1.0));
+  ExecutionContext sweep_context({/*time=*/0.5, /*memory=*/0});
+  RunDiagnostics diagnostics;
+  SweepOptions options;
+  options.base_options.seed = 33;
+  options.base_options.num_threads = GetParam();
+  options.base_options.context = &sweep_context;
+  options.cell_limits = {/*time=*/600.0, /*memory=*/0};
+  options.checkpoint_path = path;
+  options.diagnostics = &diagnostics;
+  auto sweep = RunCheckpointedSweep(methods, scenarios, suite, options);
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_NE(sweep.status().message().find("(TE)"), std::string::npos)
+      << sweep.status().ToString();
+  EXPECT_TRUE(diagnostics.HasKind(DegradationKind::kTimeLimitExceeded));
+
+  // The deadline passed while each group's first cell slept: those cells
+  // ran to completion and are journaled as successes, and no group
+  // started a second cell. Groups run one at a time at 1 thread, so the
+  // second group never started.
+  auto journal = SweepCheckpoint::Open(path);
+  ASSERT_TRUE(journal.ok());
+  if (GetParam() == 1) {
+    EXPECT_EQ(journal.value().size(), 1u);
+  } else {
+    EXPECT_GE(journal.value().size(), 1u);
+    EXPECT_LE(journal.value().size(), scenarios.size());
+  }
+  for (const SweepCellRecord& cell : journal.value().records()) {
+    EXPECT_EQ(cell.key.classifier, suite[0].name);
+    EXPECT_TRUE(cell.failure.empty()) << cell.failure;
   }
 }
 

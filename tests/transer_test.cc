@@ -125,8 +125,9 @@ TEST(TransERSelTest, ThresholdOneKeepsOnlyPureNeighbourhoods) {
 TEST(TransERSelTest, TimeLimitProducesTe) {
   const HardPair pair = MakeHardPair(134, 3000);
   TransER transer;
+  ExecutionContext context({/*time=*/1e-9, /*memory=*/0});
   TransferRunOptions run;
-  run.time_limit_seconds = 1e-9;
+  run.context = &context;
   auto result = transer.SelectInstances(pair.source,
                                         pair.target.WithoutLabels(), run);
   ASSERT_FALSE(result.ok());

@@ -139,8 +139,10 @@ TEST(TcaTest, EmbeddingReducesDomainMeanGap) {
 TEST(TcaTest, MemoryLimitProducesMe) {
   const DomainPair pair = MakePair(-0.05, 800, 113);
   TcaTransfer tca;
+  // 1 MB: far above the working set, far below the kernel Embed reserves.
+  ExecutionContext context({/*time=*/0.0, /*memory=*/1 << 20});
   TransferRunOptions run;
-  run.memory_limit_bytes = 1 << 20;  // 1 MB: far below the kernel size
+  run.context = &context;
   auto result =
       tca.Run(pair.source, pair.target.WithoutLabels(), MakeLrFactory(), run);
   ASSERT_FALSE(result.ok());
@@ -177,8 +179,9 @@ TEST(LocItTest, RunAlwaysReturnsFullPredictionVector) {
 TEST(LocItTest, TimeLimitProducesTe) {
   const DomainPair pair = MakePair(-0.05, 2000, 117);
   LocItTransfer locit;
+  ExecutionContext context({/*time=*/1e-9, /*memory=*/0});
   TransferRunOptions run;
-  run.time_limit_seconds = 1e-9;
+  run.context = &context;
   auto result = locit.Run(pair.source, pair.target.WithoutLabels(),
                           MakeLrFactory(), run);
   ASSERT_FALSE(result.ok());
@@ -260,8 +263,9 @@ TEST(DtalTest, RunCompletesOnSmallPair) {
 TEST(DtalTest, TightDeadlineProducesTe) {
   const DomainPair pair = MakePair(-0.05, 800, 123);
   DtalTransfer dtal;
+  ExecutionContext context({/*time=*/1e-9, /*memory=*/0});
   TransferRunOptions run;
-  run.time_limit_seconds = 1e-9;
+  run.context = &context;
   auto result = dtal.Run(pair.source, pair.target.WithoutLabels(),
                          MakeLrFactory(), run);
   ASSERT_FALSE(result.ok());

@@ -248,7 +248,7 @@ Flags ParseFlags(std::vector<std::string> args) {
   std::vector<char*> argv;
   for (std::string& arg : args) argv.push_back(arg.data());
   return Flags(static_cast<int>(argv.size()), argv.data(),
-               {"time-limit-s", "sparse", "name"});
+               {"time-limit-s", "memory-limit-mb", "sparse", "name"});
 }
 
 TEST(FlagsTest, ReadsKnownFlags) {
@@ -260,6 +260,16 @@ TEST(FlagsTest, ReadsKnownFlags) {
   EXPECT_EQ(flags.GetInt("missing", 7), 7);
 }
 
+TEST(FlagsTest, ReadsBudgets) {
+  const Flags flags = ParseFlags(
+      {"tool", "--time-limit-s=0.5", "--memory-limit-mb=64"});
+  EXPECT_EQ(flags.GetTimeLimitSeconds("time-limit-s", 30.0), 0.5);
+  EXPECT_EQ(flags.GetMemoryLimitBytes("memory-limit-mb", 0), 64u << 20);
+  const Flags defaults = ParseFlags({"tool"});
+  EXPECT_EQ(defaults.GetTimeLimitSeconds("time-limit-s", 0.0), 0.0);
+  EXPECT_EQ(defaults.GetMemoryLimitBytes("memory-limit-mb", 64), 64u << 20);
+}
+
 TEST(FlagsDeathTest, UnknownFlagsAndBadValuesExitTwo) {
   // A misspelt limit must not run unlimited.
   EXPECT_EXIT(ParseFlags({"tool", "--time-limit=0.000001"}),
@@ -269,6 +279,24 @@ TEST(FlagsDeathTest, UnknownFlagsAndBadValuesExitTwo) {
   EXPECT_EXIT(ParseFlags({"tool", "--time-limit-s=soon"})
                   .GetDouble("time-limit-s", 0.0),
               ::testing::ExitedWithCode(2), "bad value for --time-limit-s");
+}
+
+TEST(FlagsDeathTest, BudgetsThatWouldRunUnlimitedExitTwo) {
+  // 0 means unlimited; nothing else may.
+  for (const char* seconds : {"nan", "inf", "-1"}) {
+    EXPECT_EXIT(ParseFlags({"tool", std::string("--time-limit-s=") + seconds})
+                    .GetTimeLimitSeconds("time-limit-s", 0.0),
+                ::testing::ExitedWithCode(2), "bad value for --time-limit-s")
+        << seconds;
+  }
+  // 0.5 MB is not whole; 1e17 MB overflows size_t in bytes.
+  for (const char* megabytes : {"0.5", "1e17", "-1", "nan"}) {
+    EXPECT_EXIT(
+        ParseFlags({"tool", std::string("--memory-limit-mb=") + megabytes})
+            .GetMemoryLimitBytes("memory-limit-mb", 0),
+        ::testing::ExitedWithCode(2), "bad value for --memory-limit-mb")
+        << megabytes;
+  }
 }
 
 // ---------- Csv ----------
