@@ -20,7 +20,9 @@
 // always received runtime dims, never had.
 //
 // The sidecar is schema-versioned (transer.kernel_perf v1) and diffed
-// against bench/baselines/BENCH_kernels.json by perf_compare. The
+// against bench/baselines/BENCH_kernels.json by perf_compare. Its
+// extras record the kernel branch this build compiled (`kernels_avx2`:
+// 1 for the AVX2 bodies, 0 for the portable ones). The
 // binary runs kernels::SelfCheck() before timing anything and exits 1
 // if the vectorized kernels are not bit-identical to their scalar
 // references — a fast harness measuring wrong numbers is worthless.
@@ -224,6 +226,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::printf("kernel self-check passed (vectorized == scalar reference)\n");
+  const bool avx2 = kernels::CompiledWithAvx2();
+  std::printf("kernel branch: %s\n", avx2 ? "AVX2" : "portable");
 
   // Full mode takes five samples per primitive: the committed baseline
   // must not record one lucky scheduler slice.
@@ -470,7 +474,11 @@ int Main(int argc, char** argv) {
   harness.Extra("sparse_axpy_speedup_vs_scalar", saxpy_scalar / saxpy_kernel);
   harness.Extra("lbfgs_fit_speedup_vs_sgd", fit_sgd / fit_lbfgs);
 
-  if (!bench::WritePerfSidecar(out_path, harness.sidecar())) return 1;
+  // The build identity, not a measurement: perf_compare refuses to diff
+  // sidecars timed on different kernel branches.
+  bench::PerfSidecar sidecar = harness.sidecar();
+  sidecar.extras.emplace_back(bench::kKernelsAvx2Extra, avx2 ? 1.0 : 0.0);
+  if (!bench::WritePerfSidecar(out_path, sidecar)) return 1;
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

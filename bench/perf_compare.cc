@@ -14,9 +14,11 @@
 //        is unknown), --version.
 //
 // Exit codes: 0 = no regression (or --report-only), 1 = at least one
-// primitive regressed past the threshold, 2 = schema or I/O error.
-// Schema errors are hard failures even under --report-only: a sidecar
-// that cannot be trusted must never pass silently.
+// primitive regressed past the threshold, 2 = schema or I/O error, or
+// sidecars timed on different kernel branches (their `kernels_avx2`
+// extras disagree, or only one of them carries it). These are hard
+// failures even under --report-only: a sidecar that cannot be trusted
+// must never pass silently.
 //
 // Entries are matched by name. A baseline entry missing from the
 // candidate (or vice versa) is a schema-level failure — the harness
@@ -27,6 +29,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,6 +87,25 @@ int Main(int argc, char** argv) {
                    sidecar->schema.c_str(), sidecar->version);
       return 2;
     }
+  }
+
+  // The AVX2 and portable kernel bodies differ in speed by 2-4x, so a
+  // diff across branches would measure the build, not the change.
+  const std::optional<double> base_avx2 =
+      baseline.FindExtra(bench::kKernelsAvx2Extra);
+  const std::optional<double> cand_avx2 =
+      candidate.FindExtra(bench::kKernelsAvx2Extra);
+  if (base_avx2 != cand_avx2) {
+    const auto describe = [](const std::optional<double>& value) {
+      return value.has_value() ? StrFormat("%g", *value)
+                               : std::string("absent");
+    };
+    std::fprintf(stderr,
+                 "error: kernel branch mismatch: baseline %s=%s, candidate "
+                 "%s=%s (compare builds with the same TRANSER_NATIVE_ARCH)\n",
+                 bench::kKernelsAvx2Extra, describe(base_avx2).c_str(),
+                 bench::kKernelsAvx2Extra, describe(cand_avx2).c_str());
+    return 2;
   }
 
   std::printf("perf_compare: %s vs %s (threshold %.0f%%%s)\n\n",

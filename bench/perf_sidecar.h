@@ -2,6 +2,7 @@
 #define TRANSER_BENCH_PERF_SIDECAR_H_
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,10 @@ namespace bench {
 /// must fail loudly, not produce a bogus comparison.
 inline constexpr char kPerfSchema[] = "transer.kernel_perf";
 inline constexpr int kPerfSchemaVersion = 1;
+
+/// Extras key naming the kernel branch a sidecar was timed on: 1 when
+/// linalg/kernels compiled its AVX2 bodies, 0 for the portable ones.
+inline constexpr char kKernelsAvx2Extra[] = "kernels_avx2";
 
 /// \brief One measured primitive: ns per operation at a given thread
 /// count. `ops_per_sec` is redundant (1e9 / ns_per_op) but kept in the
@@ -36,6 +41,14 @@ struct PerfSidecar {
   int threads = 1;
   std::vector<PerfEntry> entries;
   std::vector<std::pair<std::string, double>> extras;
+
+  /// The extra named `key`, or nullopt when the sidecar lacks it.
+  std::optional<double> FindExtra(const std::string& key) const {
+    for (const auto& [name, value] : extras) {
+      if (name == key) return value;
+    }
+    return std::nullopt;
+  }
 
   const PerfEntry* Find(const std::string& name, int entry_threads) const {
     for (const PerfEntry& entry : entries) {

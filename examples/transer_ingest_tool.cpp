@@ -47,6 +47,10 @@
 // followed by the final line "applied=<n> digest=<16-hex> matches=<m>
 // quarantined=<q>" — the LAST line, which the crash matrix parses.
 //
+// Count and size flags take whole numbers >= 0 (--writers >= 1); a
+// negative or fractional value is a bad flag, never a huge unsigned
+// one.
+//
 // Exit codes: 0 success, 1 runtime failure, 2 bad flags (unknown flags
 // and positional arguments included). A --crash-after run does not exit
 // at all — it dies by SIGKILL.
@@ -159,11 +163,10 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "--dir is required\n");
     return 2;
   }
-  const uint64_t count = static_cast<uint64_t>(flags.GetInt("count", 64));
+  const uint64_t count = flags.GetCount<uint64_t>("count", 64);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const size_t poison_every =
-      static_cast<size_t>(flags.GetInt("poison-every", 0));
-  const int64_t crash_after = flags.GetInt("crash-after", 0);
+  const size_t poison_every = flags.GetCount<size_t>("poison-every", 0);
+  const uint64_t crash_after = flags.GetCount<uint64_t>("crash-after", 0);
   const std::string crash_point = flags.GetString("crash-point", "append");
   if (crash_point != "append" && crash_point != "apply" &&
       crash_point != "rotate" && crash_point != "snapshot" &&
@@ -171,11 +174,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "bad --crash-point=%s\n", crash_point.c_str());
     return 2;
   }
-  const size_t writers = static_cast<size_t>(flags.GetInt("writers", 1));
-  if (writers == 0) {
-    std::fprintf(stderr, "--writers must be at least 1\n");
-    return 2;
-  }
+  const size_t writers = flags.GetCount<size_t>("writers", 1, 1);
   const std::string bench_out = flags.GetString("bench-out", "");
 
   stream::StreamIngestorOptions options;
@@ -185,11 +184,10 @@ int Run(int argc, char** argv) {
   options.resolver.blocking.prefix_length = 6;  // the "groupN" title token
   options.resolver.match_threshold = flags.GetDouble("threshold", 0.75);
   options.resolver.refresh_interval =
-      static_cast<size_t>(flags.GetInt("refresh-every", 32));
+      flags.GetCount<size_t>("refresh-every", 32);
   options.resolver.knn.rebuild_interval =
-      static_cast<size_t>(flags.GetInt("rebuild-every", 24));
-  options.resolver.knn.num_threads =
-      static_cast<int>(flags.GetInt("threads", 1));
+      flags.GetCount<size_t>("rebuild-every", 24);
+  options.resolver.knn.num_threads = flags.GetCount<int>("threads", 1);
   const std::string knn_backend = flags.GetString("knn-backend", "kdtree");
   if (knn_backend == "ann" || knn_backend == "ann_graph") {
     options.resolver.knn.backend = stream::DynamicKnnBackend::kAnnGraph;
@@ -205,22 +203,15 @@ int Run(int argc, char** argv) {
     return 2;
   }
   options.resolver.knn.ann.recall_target = recall;
-  options.snapshot_interval =
-      static_cast<size_t>(flags.GetInt("snapshot-every", 16));
+  options.snapshot_interval = flags.GetCount<size_t>("snapshot-every", 16);
   options.publish_directory = flags.GetString("publish-dir", "");
-  options.max_segment_bytes =
-      static_cast<size_t>(flags.GetInt("segment-mb", 8)) << 20;
-  options.max_journal_bytes =
-      static_cast<size_t>(flags.GetInt("max-journal-mb", 0)) << 20;
+  options.max_segment_bytes = flags.GetMemoryLimitBytes("segment-mb", 8);
+  options.max_journal_bytes = flags.GetMemoryLimitBytes("max-journal-mb", 0);
   // Byte-granular overrides for tests that rotate within tiny streams.
-  const int64_t segment_bytes = flags.GetInt("segment-bytes", 0);
-  if (segment_bytes > 0) {
-    options.max_segment_bytes = static_cast<size_t>(segment_bytes);
-  }
-  const int64_t journal_bytes = flags.GetInt("max-journal-bytes", 0);
-  if (journal_bytes > 0) {
-    options.max_journal_bytes = static_cast<size_t>(journal_bytes);
-  }
+  const size_t segment_bytes = flags.GetCount<size_t>("segment-bytes", 0);
+  if (segment_bytes > 0) options.max_segment_bytes = segment_bytes;
+  const size_t journal_bytes = flags.GetCount<size_t>("max-journal-bytes", 0);
+  if (journal_bytes > 0) options.max_journal_bytes = journal_bytes;
 
   // A real crash, not an exit: no destructors, no buffers flushed. The
   // sequence-exact points (append/apply) fire at --crash-after itself;
@@ -228,14 +219,12 @@ int Run(int argc, char** argv) {
   // event at or past it, because rotation and snapshot boundaries
   // depend on sizes the caller cannot predict exactly.
   const auto crash_hook = [&](uint64_t sequence) {
-    if (crash_after > 0 &&
-        sequence == static_cast<uint64_t>(crash_after)) {
+    if (crash_after > 0 && sequence == crash_after) {
       ::raise(SIGKILL);
     }
   };
   const auto crash_at_or_past_hook = [&](uint64_t sequence) {
-    if (crash_after > 0 &&
-        sequence >= static_cast<uint64_t>(crash_after)) {
+    if (crash_after > 0 && sequence >= crash_after) {
       ::raise(SIGKILL);
     }
   };

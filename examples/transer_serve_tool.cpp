@@ -45,6 +45,10 @@
 //
 // --help prints the usage, --version the build identity.
 //
+// Count and size flags take whole numbers >= 0; --max-concurrent,
+// --max-frame-mb, --clients and --requests take >= 1. A negative or
+// fractional value is an invalid flag, never a huge unsigned one.
+//
 // Exit codes: 0 success (soak: every well-formed request answered),
 // 1 transport/load failure, 2 invalid flags (unknown flags and
 // positional arguments included), 4 request rejected (single-request
@@ -196,14 +200,14 @@ int RunServer(const Flags& flags) {
   // index may use every lane (the process default).
   options.repository.knn.num_threads = 0;
   options.max_concurrent_requests =
-      static_cast<size_t>(flags.GetInt("max-concurrent", 2));
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 8));
+      flags.GetCount<size_t>("max-concurrent", 2, 1);
+  options.queue_capacity = flags.GetCount<size_t>("queue", 8);
   options.default_deadline_ms = flags.GetDouble("deadline-ms", 1000.0);
   options.max_deadline_ms = flags.GetDouble("max-deadline-ms", 30000.0);
   options.min_full_resolve_ms = flags.GetDouble("min-full-resolve-ms", 10.0);
   options.memory_limit_bytes = flags.GetMemoryLimitBytes("memory-limit-mb", 0);
-  options.codec.max_frame_bytes = static_cast<size_t>(
-      flags.GetInt("max-frame-mb", 64) * 1024 * 1024);
+  options.codec.max_frame_bytes =
+      flags.GetMemoryLimitBytes("max-frame-mb", 64, 1);
   const std::string socket_path = flags.GetString("socket", "");
   const std::string stats_out = flags.GetString("stats-out", "");
   if (options.repository.directory.empty() || socket_path.empty()) {
@@ -303,6 +307,7 @@ int RunSingleRequest(const Flags& flags, const std::string& socket_path) {
   serve::CodecLimits limits;
   serve::Request request;
   request.request_id = 1;
+  request.deadline_ms = flags.GetCount<uint32_t>("deadline-ms", 0);
   const std::string target_path = flags.GetString("target", "");
   if (flags.GetBool("ping", false)) {
     request.op = serve::RequestOp::kPing;
@@ -338,7 +343,6 @@ int RunSingleRequest(const Flags& flags, const std::string& socket_path) {
                  "--soak\n");
     return 2;
   }
-  request.deadline_ms = static_cast<uint32_t>(flags.GetInt("deadline-ms", 0));
 
   const int fd = ConnectSocket(socket_path);
   if (fd < 0) {
@@ -525,9 +529,9 @@ bool SwapArtifact(const std::string& src, const std::string& dst,
 
 int RunSoak(const Flags& flags, const std::string& socket_path) {
   const std::string target_path = flags.GetString("target", "");
-  const int clients = static_cast<int>(flags.GetInt("clients", 4));
-  const int requests = static_cast<int>(flags.GetInt("requests", 50));
-  const size_t rows = static_cast<size_t>(flags.GetInt("rows", 32));
+  const int clients = flags.GetCount<int>("clients", 4, 1);
+  const int requests = flags.GetCount<int>("requests", 50, 1);
+  const size_t rows = flags.GetCount<size_t>("rows", 32);
   const double corrupt_rate = flags.GetDouble("corrupt-rate", 0.15);
   const double oversize_rate = flags.GetDouble("oversize-rate", 0.05);
   const double tiny_deadline_rate =
@@ -536,8 +540,8 @@ int RunSoak(const Flags& flags, const std::string& socket_path) {
   const std::string swap_src = flags.GetString("swap-src", "");
   const std::string swap_dst = flags.GetString("swap-dst", "");
   const int64_t swap_delay_ms = flags.GetInt("swap-delay-ms", 200);
-  if (target_path.empty() || clients <= 0 || requests <= 0 ||
-      swap_src.empty() != swap_dst.empty() || swap_delay_ms < 0) {
+  if (target_path.empty() || swap_src.empty() != swap_dst.empty() ||
+      swap_delay_ms < 0) {
     std::fprintf(stderr,
                  "--soak needs --target=CSV (and sane counts; --swap-src "
                  "and --swap-dst come together)\n");

@@ -22,38 +22,6 @@ std::string FailureShorthand(const Status& status) {
   return status.ToString();
 }
 
-MethodScenarioResult RunMethodOnScenario(
-    const TransferMethod& method, const TransferScenario& scenario,
-    const std::vector<NamedClassifierFactory>& suite,
-    const TransferRunOptions& base_options) {
-  MethodScenarioResult result;
-  result.method = method.name();
-  result.scenario = scenario.name;
-
-  const FeatureMatrix unlabeled_target = scenario.target.WithoutLabels();
-  const std::vector<int>& truth = scenario.target.labels();
-
-  Stopwatch total;
-  uint64_t run_index = 0;
-  for (const auto& family : suite) {
-    TransferRunOptions run_options = base_options;
-    run_options.seed = base_options.seed + 1000 * (run_index++);
-    auto predicted =
-        method.Run(scenario.source, unlabeled_target, family.make,
-                   run_options);
-    if (!predicted.ok()) {
-      result.failure = FailureShorthand(predicted.status());
-      break;  // the next classifier would fail the same way
-    }
-    result.per_classifier.push_back(
-        EvaluateLinkage(truth, predicted.value()));
-    ++result.completed_runs;
-  }
-  result.total_runtime_seconds = total.ElapsedSeconds();
-  result.quality = AggregateQuality(result.per_classifier);
-  return result;
-}
-
 namespace {
 
 /// One (scenario, method) group of the sweep grid, the unit of parallel
@@ -80,11 +48,11 @@ std::string DescribeLimits(const ExecutionLimits& limits) {
                    limits.memory_limit_bytes);
 }
 
-}  // namespace
-
-Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
-    const std::vector<std::unique_ptr<TransferMethod>>& methods,
-    const std::vector<TransferScenario>& scenarios,
+/// The sweep over non-owning method and scenario lists: the one cell
+/// loop behind RunCheckpointedSweep and RunMethodOnScenario.
+Result<std::vector<MethodScenarioResult>> RunSweep(
+    const std::vector<const TransferMethod*>& methods,
+    const std::vector<const TransferScenario*>& scenarios,
     const std::vector<NamedClassifierFactory>& suite,
     const SweepOptions& options) {
   const ExecutionContext& sweep_context = *options.base_options.context;
@@ -121,7 +89,7 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
   std::vector<FeatureMatrix> unlabeled_targets;
   unlabeled_targets.reserve(scenarios.size());
   for (size_t s = 0; s < scenarios.size(); ++s) {
-    unlabeled_targets.push_back(scenarios[s].target.WithoutLabels());
+    unlabeled_targets.push_back(scenarios[s]->target.WithoutLabels());
     for (size_t m = 0; m < methods.size(); ++m) {
       grid.push_back(SweepGroup{s, m});
     }
@@ -136,7 +104,7 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
 
   auto run_group = [&](size_t g) -> Status {
     const SweepGroup& group = grid[g];
-    const TransferScenario& scenario = scenarios[group.scenario_index];
+    const TransferScenario& scenario = *scenarios[group.scenario_index];
     const TransferMethod& method = *methods[group.method_index];
     const FeatureMatrix& unlabeled_target =
         unlabeled_targets[group.scenario_index];
@@ -271,6 +239,39 @@ Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
     TRANSER_RETURN_IF_ERROR(checkpoint->Canonicalize());
   }
   return results;
+}
+
+}  // namespace
+
+Result<std::vector<MethodScenarioResult>> RunCheckpointedSweep(
+    const std::vector<std::unique_ptr<TransferMethod>>& methods,
+    const std::vector<TransferScenario>& scenarios,
+    const std::vector<NamedClassifierFactory>& suite,
+    const SweepOptions& options) {
+  std::vector<const TransferMethod*> method_list;
+  for (const auto& method : methods) method_list.push_back(method.get());
+  std::vector<const TransferScenario*> scenario_list;
+  for (const TransferScenario& scenario : scenarios) {
+    scenario_list.push_back(&scenario);
+  }
+  return RunSweep(method_list, scenario_list, suite, options);
+}
+
+MethodScenarioResult RunMethodOnScenario(
+    const TransferMethod& method, const TransferScenario& scenario,
+    const std::vector<NamedClassifierFactory>& suite,
+    const TransferRunOptions& base_options) {
+  SweepOptions options;
+  options.base_options = base_options;
+  auto swept = RunSweep({&method}, {&scenario}, suite, options);
+  if (swept.ok()) return std::move(swept.value().front());
+  // Only the caller's context can stop a sweep without a checkpoint:
+  // its deadline or cancellation, seen at a cell boundary.
+  MethodScenarioResult result;
+  result.method = method.name();
+  result.scenario = scenario.name;
+  result.failure = FailureShorthand(swept.status());
+  return result;
 }
 
 std::vector<std::unique_ptr<TransferMethod>> DefaultMethodLineup() {

@@ -30,8 +30,11 @@ struct MethodScenarioResult {
 
 /// \brief Runs one transfer method on one scenario for every classifier in
 /// the suite and aggregates (the protocol of Section 5.1.1: per-method
-/// averages ± std over SVM / RF / LR / DT). A TE/ME failure on the first
-/// classifier short-circuits the remaining runs.
+/// averages ± std over SVM / RF / LR / DT). This is RunCheckpointedSweep
+/// over one method and one scenario with no checkpoint: the same cell
+/// seeds, the same TE/ME short-circuit, and `total_runtime_seconds` the
+/// sum of the cell times. `base_options.context` is checked before each
+/// cell; the cells themselves run without a per-cell cap.
 MethodScenarioResult RunMethodOnScenario(
     const TransferMethod& method, const TransferScenario& scenario,
     const std::vector<NamedClassifierFactory>& suite,
@@ -47,11 +50,10 @@ std::vector<std::unique_ptr<TransferMethod>> DefaultMethodLineup();
 
 /// \brief Controls for a (checkpointed) experiment sweep.
 struct SweepOptions {
-  /// SweepCheckpoint journal path. Empty disables checkpointing (the
-  /// sweep then behaves exactly like looping RunMethodOnScenario).
+  /// SweepCheckpoint journal path. Empty disables checkpointing.
   std::string checkpoint_path;
   /// Per-cell run options: `seed` is the sweep base seed (each cell runs
-  /// at seed + 1000 * classifier_index, as RunMethodOnScenario does);
+  /// at seed + 1000 * classifier_index);
   /// `context` is the sweep's own: it is checked before every cell, so a
   /// sweep-wide deadline stops the sweep at a cell boundary with every
   /// completed cell already journaled, and its cancellation token also

@@ -54,14 +54,6 @@ class SparseFeatureMatrix {
         std::span<const double>(values_.data() + begin, end - begin)};
   }
 
-  /// Writable view of row i's stored values (the column pattern stays
-  /// fixed) — what in-place transforms like SparseScaler mutate.
-  std::span<double> MutableRowValues(size_t i) {
-    const size_t begin = row_offsets_[i];
-    return std::span<double>(values_.data() + begin,
-                             row_offsets_[i + 1] - begin);
-  }
-
   int label(size_t i) const { return labels_[i]; }
   const std::vector<int>& labels() const { return labels_; }
   void set_label(size_t i, int label) { labels_[i] = label; }

@@ -783,6 +783,8 @@ bool BitsEqual(double a, double b) {
 
 }  // namespace
 
+bool CompiledWithAvx2() { return TRANSER_KERNELS_AVX2 == 1; }
+
 Status SelfCheck() {
   // Sizes 0..67 cover every remainder of the 4-lane unroll plus the tile
   // edges of the pairwise kernel; the +1/+2/+3 sub-span offsets exercise

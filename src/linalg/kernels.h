@@ -135,6 +135,12 @@ double SparseSquaredL2(std::span<const uint32_t> a_indices,
                        std::span<const uint32_t> b_indices,
                        std::span<const double> b_values);
 
+/// True when this build compiled the explicit AVX2 kernel bodies (a
+/// target with AVX2, e.g. TRANSER_NATIVE_ARCH=ON on modern x86); false
+/// for the portable 4-lane bodies. Both return the same bits, but not
+/// at the same speed, so perf sidecars record which one they timed.
+bool CompiledWithAvx2();
+
 /// \brief Runtime bit-identity check of every kernel against its scalar
 /// reference (kernels::ref) over a battery of sizes covering all unroll
 /// remainders, misaligned spans and tile shapes. Returns InvalidArgument

@@ -66,30 +66,19 @@ void AddInPlace(std::span<double> a, std::span<const double> b) {
   kernels::AddInPlace(a, b);
 }
 
-void SubtractInPlace(std::span<double> a, std::span<const double> b) {
-  TRANSER_CHECK_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
-}
-
 void ScaleInPlace(std::span<double> v, double s) {
   kernels::ScaleInPlace(v, s);
 }
 
 std::vector<double> Mean(const std::vector<std::vector<double>>& vectors) {
-  std::vector<double> out;
-  MeanInto(vectors, &out);
-  return out;
-}
-
-void MeanInto(const std::vector<std::vector<double>>& vectors,
-              std::vector<double>* out) {
   TRANSER_CHECK(!vectors.empty());
-  out->assign(vectors[0].size(), 0.0);
+  std::vector<double> out(vectors[0].size(), 0.0);
   for (const auto& v : vectors) {
-    TRANSER_CHECK_EQ(v.size(), out->size());
-    kernels::AddInPlace(*out, v);
+    TRANSER_CHECK_EQ(v.size(), out.size());
+    kernels::AddInPlace(out, v);
   }
-  kernels::ScaleInPlace(*out, 1.0 / static_cast<double>(vectors.size()));
+  kernels::ScaleInPlace(out, 1.0 / static_cast<double>(vectors.size()));
+  return out;
 }
 
 void Axpy(double s, const std::vector<double>& b, std::vector<double>* a) {

@@ -43,20 +43,11 @@ std::vector<double> Scale(const std::vector<double>& v, double s);
 /// In-place a += b.
 void AddInPlace(std::span<double> a, std::span<const double> b);
 
-/// In-place a -= b.
-void SubtractInPlace(std::span<double> a, std::span<const double> b);
-
 /// In-place v *= s.
 void ScaleInPlace(std::span<double> v, double s);
 
 /// Arithmetic mean of `vectors` (all equal length; at least one vector).
 std::vector<double> Mean(const std::vector<std::vector<double>>& vectors);
-
-/// Mean of `vectors` accumulated into caller-owned `out` (resized to
-/// match). Bit-identical to Mean() with no per-call allocation once
-/// `out` has capacity.
-void MeanInto(const std::vector<std::vector<double>>& vectors,
-              std::vector<double>* out);
 
 /// In-place a += s * b.
 void Axpy(double s, const std::vector<double>& b, std::vector<double>* a);

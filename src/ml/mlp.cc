@@ -1,11 +1,10 @@
 #include "ml/mlp.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <utility>
 
 #include "linalg/kernels.h"
-#include "util/artifact_io.h"
 #include "util/logging.h"
 
 namespace transer {
@@ -78,172 +77,6 @@ double Sigmoid(double z) {
 }
 
 }  // namespace
-
-void Mlp::Fit(const Matrix& x, const std::vector<int>& y,
-              const std::vector<double>& weights) {
-  TRANSER_CHECK_EQ(x.rows(), y.size());
-  TRANSER_CHECK(weights.empty() || weights.size() == y.size());
-  layers_.clear();
-  input_dim_ = x.cols();
-  if (x.rows() == 0) return;
-
-  Rng rng(options_.seed);
-  size_t prev = input_dim_;
-  for (size_t width : options_.hidden) {
-    internal_mlp::DenseLayer layer;
-    layer.Init(prev, width, /*use_relu=*/true, &rng);
-    layers_.push_back(std::move(layer));
-    prev = width;
-  }
-  internal_mlp::DenseLayer head;
-  head.Init(prev, 1, /*use_relu=*/false, &rng);
-  layers_.push_back(std::move(head));
-
-  const size_t n = x.rows();
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-
-  std::vector<std::vector<double>> pres(layers_.size());
-  std::vector<std::vector<double>> acts(layers_.size());
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    if (FitInterrupted()) return;  // caller surfaces the status via Check
-    rng.Shuffle(&order);
-    const double lr =
-        options_.learning_rate / (1.0 + 0.02 * static_cast<double>(epoch));
-    for (size_t i : order) {
-      std::vector<double> input = {x.Row(i), x.Row(i) + x.cols()};
-      // Forward.
-      const std::vector<double>* current = &input;
-      for (size_t l = 0; l < layers_.size(); ++l) {
-        layers_[l].Forward(*current, &pres[l], &acts[l]);
-        current = &acts[l];
-      }
-      const double p = Sigmoid(acts.back()[0]);
-      const double sample_w = weights.empty() ? 1.0 : weights[i];
-      // dLoss/d(logit) for log loss under sigmoid.
-      std::vector<double> grad = {(p - static_cast<double>(y[i])) * sample_w};
-      // Backward through the stack.
-      for (size_t l = layers_.size(); l-- > 0;) {
-        const std::vector<double>& layer_in = l == 0 ? input : acts[l - 1];
-        std::vector<double> grad_in;
-        layers_[l].Backward(layer_in, pres[l], std::move(grad), lr,
-                            options_.l2, l == 0 ? nullptr : &grad_in);
-        grad = std::move(grad_in);
-      }
-    }
-  }
-}
-
-double Mlp::PredictProba(std::span<const double> features) const {
-  if (layers_.empty()) return 0.5;
-  TRANSER_CHECK_EQ(features.size(), input_dim_);
-  std::vector<double> current(features.begin(), features.end());
-  std::vector<double> pre, act;
-  for (const auto& layer : layers_) {
-    layer.Forward(current, &pre, &act);
-    current = act;
-  }
-  return Sigmoid(current[0]);
-}
-
-Status Mlp::SaveState(artifact::Encoder* out) const {
-  std::vector<uint64_t> hidden(options_.hidden.begin(),
-                               options_.hidden.end());
-  out->PutU64Vec(hidden);
-  out->PutDouble(options_.learning_rate);
-  out->PutDouble(options_.l2);
-  out->PutI64(options_.epochs);
-  out->PutU64(options_.seed);
-  out->PutU64(input_dim_);
-  out->PutU64(layers_.size());
-  for (const internal_mlp::DenseLayer& layer : layers_) {
-    out->PutU64(layer.in);
-    out->PutU64(layer.out);
-    out->PutU8(layer.relu ? 1 : 0);
-    out->PutDoubleVec(layer.w);
-    out->PutDoubleVec(layer.b);
-  }
-  return Status::OK();
-}
-
-Status Mlp::LoadState(artifact::Decoder* in) {
-  MlpOptions options;
-  std::vector<uint64_t> hidden;
-  int64_t epochs = 0;
-  uint64_t input_dim = 0;
-  uint64_t layer_count = 0;
-  TRANSER_RETURN_IF_ERROR(in->GetU64Vec(&hidden));
-  TRANSER_RETURN_IF_ERROR(in->GetDouble(&options.learning_rate));
-  TRANSER_RETURN_IF_ERROR(in->GetDouble(&options.l2));
-  TRANSER_RETURN_IF_ERROR(in->GetI64(&epochs));
-  TRANSER_RETURN_IF_ERROR(in->GetU64(&options.seed));
-  TRANSER_RETURN_IF_ERROR(in->GetU64(&input_dim));
-  TRANSER_RETURN_IF_ERROR(in->GetU64(&layer_count));
-  if (!std::isfinite(options.learning_rate) || !std::isfinite(options.l2) ||
-      epochs < 0 || epochs > INT32_MAX) {
-    return Status::InvalidArgument("mlp options out of range");
-  }
-  for (uint64_t width : hidden) {
-    if (width == 0 || width > (uint64_t{1} << 20)) {
-      return Status::InvalidArgument("mlp hidden width out of range");
-    }
-  }
-  // Each layer needs at least 1+8+8 bytes for its scalars plus the two
-  // (possibly empty) vectors' 8-byte counts.
-  if (layer_count > in->remaining() / 33) {
-    return Status::InvalidArgument("mlp layer count exceeds payload");
-  }
-  // A trained net has one DenseLayer per hidden width plus the linear
-  // head; an unfitted one has none.
-  if (layer_count != 0 && layer_count != hidden.size() + 1) {
-    return Status::InvalidArgument("mlp layer count disagrees with widths");
-  }
-  std::vector<internal_mlp::DenseLayer> layers;
-  layers.reserve(layer_count);
-  uint64_t prev = input_dim;
-  for (uint64_t l = 0; l < layer_count; ++l) {
-    internal_mlp::DenseLayer layer;
-    uint64_t in_size = 0;
-    uint64_t out_size = 0;
-    uint8_t relu = 0;
-    TRANSER_RETURN_IF_ERROR(in->GetU64(&in_size));
-    TRANSER_RETURN_IF_ERROR(in->GetU64(&out_size));
-    TRANSER_RETURN_IF_ERROR(in->GetU8(&relu));
-    TRANSER_RETURN_IF_ERROR(in->GetDoubleVec(&layer.w));
-    TRANSER_RETURN_IF_ERROR(in->GetDoubleVec(&layer.b));
-    const bool is_head = l + 1 == layer_count;
-    const uint64_t expected_out = is_head ? 1 : hidden[l];
-    // Forward() indexes w as out x in row-major and asserts the input
-    // width, so every dimension must chain exactly.
-    if (relu > 1 || in_size != prev || out_size != expected_out ||
-        (relu == 1) == is_head || layer.b.size() != out_size ||
-        (out_size != 0 && layer.w.size() / out_size != in_size) ||
-        layer.w.size() != in_size * out_size) {
-      return Status::InvalidArgument("mlp layer shape is malformed");
-    }
-    for (double v : layer.w) {
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument("mlp weight is not finite");
-      }
-    }
-    for (double v : layer.b) {
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument("mlp bias is not finite");
-      }
-    }
-    layer.in = static_cast<size_t>(in_size);
-    layer.out = static_cast<size_t>(out_size);
-    layer.relu = relu == 1;
-    layers.push_back(std::move(layer));
-    prev = out_size;
-  }
-  options.hidden.assign(hidden.begin(), hidden.end());
-  options.epochs = static_cast<int>(epochs);
-  options_ = options;
-  input_dim_ = static_cast<size_t>(input_dim);
-  layers_ = std::move(layers);
-  return Status::OK();
-}
 
 std::vector<double> DomainAdversarialMlp::ExtractorForward(
     std::span<const double> features, std::vector<std::vector<double>>* pres,

@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <span>
 #include <vector>
 
-#include "ml/classifier.h"
+#include "linalg/matrix.h"
 #include "util/random.h"
 
 namespace transer {
@@ -14,8 +14,7 @@ namespace transer {
 namespace internal_mlp {
 
 /// \brief One fully-connected layer with optional ReLU, trained by
-/// per-sample SGD. Internal building block of Mlp and
-/// DomainAdversarialMlp.
+/// per-sample SGD. Internal building block of DomainAdversarialMlp.
 struct DenseLayer {
   size_t in = 0;
   size_t out = 0;
@@ -39,39 +38,6 @@ struct DenseLayer {
 };
 
 }  // namespace internal_mlp
-
-/// \brief Hyper-parameters for the feed-forward network.
-struct MlpOptions {
-  std::vector<size_t> hidden = {32, 16};
-  double learning_rate = 0.05;
-  double l2 = 1e-5;
-  int epochs = 60;
-  uint64_t seed = 5;
-};
-
-/// \brief Feed-forward binary classifier (ReLU hidden layers, sigmoid
-/// output) trained with per-sample SGD and log loss. The deep model
-/// family used for the deep-learning baselines.
-class Mlp : public Classifier {
- public:
-  explicit Mlp(MlpOptions options = {}) : options_(options) {}
-
-  void Fit(const Matrix& x, const std::vector<int>& y,
-           const std::vector<double>& weights) override;
-  using Classifier::Fit;
-
-  double PredictProba(std::span<const double> features) const override;
-
-  std::string name() const override { return "mlp"; }
-
-  Status SaveState(artifact::Encoder* out) const override;
-  Status LoadState(artifact::Decoder* in) override;
-
- private:
-  MlpOptions options_;
-  std::vector<internal_mlp::DenseLayer> layers_;  ///< last layer is linear
-  size_t input_dim_ = 0;
-};
 
 /// \brief Hyper-parameters for the domain-adversarial network (DTAL*).
 struct DannOptions {

@@ -4,11 +4,9 @@
 #include <utility>
 
 #include "ml/decision_tree.h"
-#include "ml/gradient_boosting.h"
 #include "ml/knn_classifier.h"
 #include "ml/linear_svm.h"
 #include "ml/logistic_regression.h"
-#include "ml/mlp.h"
 #include "ml/naive_bayes.h"
 #include "ml/random_forest.h"
 #include "ml/threshold_classifier.h"
@@ -20,7 +18,6 @@ namespace transer {
 namespace {
 
 constexpr char kMetaSection[] = "meta";
-constexpr char kModelSection[] = "model";
 constexpr char kModelUSection[] = "model_u";
 constexpr char kModelVSection[] = "model_v";
 constexpr char kSelSection[] = "sel";
@@ -40,31 +37,6 @@ Result<const artifact::Section*> RequireSection(
         StrFormat("artifact is missing its '%s' section", name.c_str()));
   }
   return section;
-}
-
-Status CheckKind(const artifact::Artifact& art, const std::string& expected) {
-  if (art.header.kind != expected) {
-    return Status::FailedPrecondition(
-        StrFormat("artifact holds a '%s', expected a '%s'",
-                  art.header.kind.c_str(), expected.c_str()));
-  }
-  return Status::OK();
-}
-
-/// Rejects an artifact fingerprinted against a different feature schema.
-/// An empty `feature_names` skips the check (caller has no schema yet).
-Status CheckSchema(const artifact::Artifact& art,
-                   const std::vector<std::string>& feature_names) {
-  if (feature_names.empty()) return Status::OK();
-  const uint64_t expected = artifact::FingerprintFeatureSchema(feature_names);
-  if (art.header.schema_fingerprint != expected) {
-    return Status::FailedPrecondition(StrFormat(
-        "artifact was trained on a different feature schema "
-        "(fingerprint %016llx, current data %016llx)",
-        static_cast<unsigned long long>(art.header.schema_fingerprint),
-        static_cast<unsigned long long>(expected)));
-  }
-  return Status::OK();
 }
 
 /// Decodes a classifier payload into a freshly constructed instance of
@@ -89,8 +61,6 @@ Result<std::unique_ptr<Classifier>> MakeClassifierByName(
     made = std::make_unique<DecisionTree>();
   } else if (name == "random_forest") {
     made = std::make_unique<RandomForest>();
-  } else if (name == "gradient_boosting") {
-    made = std::make_unique<GradientBoosting>();
   } else if (name == "logistic_regression") {
     made = std::make_unique<LogisticRegression>();
   } else if (name == "linear_svm") {
@@ -101,8 +71,6 @@ Result<std::unique_ptr<Classifier>> MakeClassifierByName(
     KnnClassifierOptions knn_options;
     if (knn != nullptr) knn_options.backend = *knn;
     made = std::make_unique<KnnClassifier>(knn_options);
-  } else if (name == "mlp") {
-    made = std::make_unique<Mlp>();
   } else if (name == "threshold") {
     made = std::make_unique<ThresholdClassifier>();
   } else {
@@ -111,81 +79,6 @@ Result<std::unique_ptr<Classifier>> MakeClassifierByName(
         name.c_str()));
   }
   return made;
-}
-
-Status SaveClassifierArtifact(const Classifier& classifier,
-                              const std::vector<std::string>& feature_names,
-                              const std::string& path) {
-  artifact::Encoder model;
-  TRANSER_RETURN_IF_ERROR(classifier.SaveState(&model));
-
-  artifact::Encoder meta;
-  meta.PutString(classifier.name());
-  meta.PutStringVec(feature_names);
-
-  artifact::Header header;
-  header.kind = kClassifierArtifactKind;
-  header.schema_fingerprint = artifact::FingerprintFeatureSchema(feature_names);
-  return artifact::WriteArtifact(
-      path, header,
-      {{kMetaSection, meta.TakeBytes()}, {kModelSection, model.TakeBytes()}});
-}
-
-Result<LoadedClassifier> LoadClassifierArtifact(
-    const std::string& path, const std::vector<std::string>& feature_names) {
-  TRANSER_ASSIGN_OR_RETURN(artifact::Artifact art,
-                           artifact::ReadArtifact(path));
-  TRANSER_RETURN_IF_ERROR(CheckKind(art, kClassifierArtifactKind));
-  TRANSER_RETURN_IF_ERROR(CheckSchema(art, feature_names));
-
-  TRANSER_ASSIGN_OR_RETURN(const artifact::Section* meta,
-                           RequireSection(art, kMetaSection));
-  LoadedClassifier loaded;
-  artifact::Decoder meta_decoder(meta->payload);
-  TRANSER_RETURN_IF_ERROR(meta_decoder.GetString(&loaded.name));
-  TRANSER_RETURN_IF_ERROR(meta_decoder.GetStringVec(&loaded.feature_names));
-  TRANSER_RETURN_IF_ERROR(meta_decoder.ExpectEnd());
-  // The stored names must hash to the header fingerprint; disagreement
-  // means the sections were recombined from different artifacts.
-  if (artifact::FingerprintFeatureSchema(loaded.feature_names) !=
-      art.header.schema_fingerprint) {
-    return Status::InvalidArgument(
-        "artifact feature names disagree with its schema fingerprint");
-  }
-
-  TRANSER_ASSIGN_OR_RETURN(const artifact::Section* model,
-                           RequireSection(art, kModelSection));
-  TRANSER_ASSIGN_OR_RETURN(loaded.classifier,
-                           DecodeClassifier(loaded.name, *model));
-  return loaded;
-}
-
-Status SaveScalerArtifact(const StandardScaler& scaler,
-                          const std::vector<std::string>& feature_names,
-                          const std::string& path) {
-  artifact::Encoder model;
-  TRANSER_RETURN_IF_ERROR(scaler.SaveState(&model));
-
-  artifact::Header header;
-  header.kind = kScalerArtifactKind;
-  header.schema_fingerprint = artifact::FingerprintFeatureSchema(feature_names);
-  return artifact::WriteArtifact(path, header,
-                                 {{kModelSection, model.TakeBytes()}});
-}
-
-Result<StandardScaler> LoadScalerArtifact(
-    const std::string& path, const std::vector<std::string>& feature_names) {
-  TRANSER_ASSIGN_OR_RETURN(artifact::Artifact art,
-                           artifact::ReadArtifact(path));
-  TRANSER_RETURN_IF_ERROR(CheckKind(art, kScalerArtifactKind));
-  TRANSER_RETURN_IF_ERROR(CheckSchema(art, feature_names));
-  TRANSER_ASSIGN_OR_RETURN(const artifact::Section* model,
-                           RequireSection(art, kModelSection));
-  StandardScaler scaler;
-  artifact::Decoder decoder(model->payload);
-  TRANSER_RETURN_IF_ERROR(scaler.LoadState(&decoder));
-  TRANSER_RETURN_IF_ERROR(decoder.ExpectEnd());
-  return scaler;
 }
 
 Status SaveTransERPipelineState(const TransERPipelineState& state,
@@ -250,7 +143,11 @@ Result<TransERPipelineState> LoadTransERPipelineState(
     const std::string& path, const KnnBackendOptions* knn) {
   TRANSER_ASSIGN_OR_RETURN(artifact::Artifact art,
                            artifact::ReadArtifact(path));
-  TRANSER_RETURN_IF_ERROR(CheckKind(art, kPipelineArtifactKind));
+  if (art.header.kind != kPipelineArtifactKind) {
+    return Status::FailedPrecondition(
+        StrFormat("artifact holds a '%s', expected a '%s'",
+                  art.header.kind.c_str(), kPipelineArtifactKind));
+  }
 
   TransERPipelineState state;
   TRANSER_ASSIGN_OR_RETURN(const artifact::Section* meta,

@@ -8,62 +8,35 @@
 
 #include "knn/knn_backend.h"
 #include "ml/classifier.h"
-#include "ml/scaler.h"
 #include "util/status.h"
 
 namespace transer {
 
 /// \file
 /// Crash-safe persistence for trained models, built on util/artifact_io.
-/// Every artifact is written atomically (temp + fsync + rename), carries
-/// the feature-schema fingerprint it was trained against, and is CRC-
-/// framed, so loads either succeed bit-exactly or fail with a clean
-/// status — never a crash or a silent misprediction (DESIGN.md §8).
+/// The store writes one artifact kind, the TransER pipeline snapshot:
+/// it warm-starts runs, seeds the stream and fills the serving
+/// repository. Every artifact is written atomically (temp + fsync +
+/// rename), carries the feature-schema fingerprint it was trained
+/// against, and is CRC-framed, so loads either succeed bit-exactly or
+/// fail with a clean status — never a crash or a silent misprediction
+/// (DESIGN.md §8).
 
-/// Artifact kinds written by this store.
-inline constexpr char kClassifierArtifactKind[] = "classifier";
-inline constexpr char kScalerArtifactKind[] = "scaler";
+/// The one artifact kind written by this store.
 inline constexpr char kPipelineArtifactKind[] = "transer_pipeline";
 
 /// Creates an untrained classifier of the family serialised under `name`
-/// (the Classifier::name() string: "decision_tree", "random_forest",
-/// "gradient_boosting", "logistic_regression", "linear_svm",
-/// "naive_bayes", "knn", "mlp", "threshold"). Unknown names — artifacts
-/// from a newer build, or crafted files — yield FailedPrecondition.
+/// (the Classifier::name() string). The seven families are the six
+/// `transer_csv_tool --classifier` trains — "decision_tree",
+/// "random_forest", "logistic_regression", "linear_svm", "naive_bayes"
+/// and "knn" — plus "threshold", the stream's bootstrap model. Unknown
+/// names — artifacts from a newer build, or crafted files — yield
+/// FailedPrecondition.
 /// `knn`, when non-null, picks the index the "knn" family rebuilds on
 /// LoadState (the backend is a host runtime choice, never part of the
 /// artifact — see ml/knn_classifier.h); other families ignore it.
 Result<std::unique_ptr<Classifier>> MakeClassifierByName(
     const std::string& name, const KnnBackendOptions* knn = nullptr);
-
-/// \brief A classifier restored from an artifact, plus the identity it
-/// was saved under.
-struct LoadedClassifier {
-  std::string name;                        ///< Classifier::name() family
-  std::vector<std::string> feature_names;  ///< schema it was trained on
-  std::unique_ptr<Classifier> classifier;
-};
-
-/// Saves `classifier` to `path` bound to the given feature schema.
-/// Classifiers that do not implement SaveState (custom user subclasses)
-/// yield FailedPrecondition and leave any existing file untouched.
-Status SaveClassifierArtifact(const Classifier& classifier,
-                              const std::vector<std::string>& feature_names,
-                              const std::string& path);
-
-/// Loads the classifier artifact at `path`. When `feature_names` is
-/// non-empty its fingerprint must match the artifact's; a mismatch is
-/// FailedPrecondition (the model was trained on a different schema).
-/// Missing file -> NotFound; corruption -> InvalidArgument.
-Result<LoadedClassifier> LoadClassifierArtifact(
-    const std::string& path, const std::vector<std::string>& feature_names);
-
-/// Saves / loads a fitted StandardScaler under the same contract.
-Status SaveScalerArtifact(const StandardScaler& scaler,
-                          const std::vector<std::string>& feature_names,
-                          const std::string& path);
-Result<StandardScaler> LoadScalerArtifact(
-    const std::string& path, const std::vector<std::string>& feature_names);
 
 /// \brief Snapshot of a TransER run after GEN (and optionally TCL):
 /// everything needed to warm-start target training or serve predictions
@@ -96,7 +69,9 @@ struct TransERPipelineState {
 };
 
 /// Writes the snapshot atomically. Requires classifier_u to be set and
-/// the per-target vectors to agree with target_rows.
+/// the per-target vectors to agree with target_rows. A classifier that
+/// does not implement SaveState (a custom user subclass) yields
+/// FailedPrecondition and leaves any existing file untouched.
 Status SaveTransERPipelineState(const TransERPipelineState& state,
                                 const std::string& path);
 

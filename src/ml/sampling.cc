@@ -33,29 +33,6 @@ std::vector<size_t> UndersampleNonMatches(const std::vector<int>& labels,
   return kept;
 }
 
-std::pair<std::vector<size_t>, std::vector<size_t>> StratifiedSplit(
-    const std::vector<int>& labels, double test_fraction, Rng* rng) {
-  TRANSER_CHECK_GT(test_fraction, 0.0);
-  TRANSER_CHECK_LT(test_fraction, 1.0);
-  std::vector<size_t> train;
-  std::vector<size_t> test;
-  for (int cls : {0, 1}) {
-    std::vector<size_t> members;
-    for (size_t i = 0; i < labels.size(); ++i) {
-      if (labels[i] == cls) members.push_back(i);
-    }
-    rng->Shuffle(&members);
-    const size_t test_count =
-        static_cast<size_t>(test_fraction * static_cast<double>(members.size()));
-    for (size_t i = 0; i < members.size(); ++i) {
-      (i < test_count ? test : train).push_back(members[i]);
-    }
-  }
-  std::sort(train.begin(), train.end());
-  std::sort(test.begin(), test.end());
-  return {std::move(train), std::move(test)};
-}
-
 std::vector<size_t> RandomSubset(size_t n, double fraction, Rng* rng) {
   TRANSER_CHECK_GE(fraction, 0.0);
   TRANSER_CHECK_LE(fraction, 1.0);

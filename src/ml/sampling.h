@@ -15,11 +15,6 @@ namespace transer {
 std::vector<size_t> UndersampleNonMatches(const std::vector<int>& labels,
                                           double ratio, Rng* rng);
 
-/// \brief Stratified train/test split: returns (train_indices,
-/// test_indices) preserving the class mix. `test_fraction` in (0, 1).
-std::pair<std::vector<size_t>, std::vector<size_t>> StratifiedSplit(
-    const std::vector<int>& labels, double test_fraction, Rng* rng);
-
 /// \brief Random subset of `fraction` of all indices (used for the
 /// label-fraction sensitivity experiment, Figure 6).
 std::vector<size_t> RandomSubset(size_t n, double fraction, Rng* rng);

@@ -1,9 +1,7 @@
 #include "ml/scaler.h"
 
 #include <cmath>
-#include <utility>
 
-#include "util/artifact_io.h"
 #include "util/logging.h"
 
 namespace transer {
@@ -55,99 +53,6 @@ void StandardScaler::TransformInPlace(std::vector<double>* v) const {
   for (size_t c = 0; c < v->size(); ++c) {
     (*v)[c] = ((*v)[c] - means_[c]) / stddevs_[c];
   }
-}
-
-Status StandardScaler::SaveState(artifact::Encoder* out) const {
-  out->PutDoubleVec(means_);
-  out->PutDoubleVec(stddevs_);
-  return Status::OK();
-}
-
-Status StandardScaler::LoadState(artifact::Decoder* in) {
-  std::vector<double> means;
-  std::vector<double> stddevs;
-  TRANSER_RETURN_IF_ERROR(in->GetDoubleVec(&means));
-  TRANSER_RETURN_IF_ERROR(in->GetDoubleVec(&stddevs));
-  if (means.size() != stddevs.size()) {
-    return Status::InvalidArgument("scaler moment sizes disagree");
-  }
-  for (size_t c = 0; c < means.size(); ++c) {
-    // Transform divides by the stored stddev; Fit floors it at a small
-    // positive constant, so zero or negative values mark corruption.
-    if (!std::isfinite(means[c]) || !std::isfinite(stddevs[c]) ||
-        !(stddevs[c] > 0.0)) {
-      return Status::InvalidArgument("scaler moments are malformed");
-    }
-  }
-  means_ = std::move(means);
-  stddevs_ = std::move(stddevs);
-  return Status::OK();
-}
-
-void SparseScaler::Fit(const SparseFeatureMatrix& x,
-                       RunDiagnostics* diagnostics) {
-  if (options_.center && diagnostics != nullptr) {
-    diagnostics->Add(DegradationKind::kSparseCenteringRefused, "validate",
-                     "centering a sparse matrix would densify every row; "
-                     "fitting scale-only");
-  }
-  const size_t m = x.num_features();
-  scales_.assign(m, 1.0);
-  if (x.size() == 0) return;
-  // RMS over all rows, implicit zeros included: only stored entries
-  // contribute to the sum of squares, but the divisor is the row count.
-  std::vector<double> sum_sq(m, 0.0);
-  for (size_t r = 0; r < x.size(); ++r) {
-    const SparseFeatureMatrix::RowView row = x.Row(r);
-    for (size_t k = 0; k < row.values.size(); ++k) {
-      sum_sq[row.indices[k]] += row.values[k] * row.values[k];
-    }
-  }
-  const double inv_n = 1.0 / static_cast<double>(x.size());
-  for (size_t c = 0; c < m; ++c) {
-    const double rms = std::sqrt(sum_sq[c] * inv_n);
-    scales_[c] = rms > 1e-12 ? 1.0 / rms : 1.0;  // constant column: leave
-  }
-}
-
-void SparseScaler::TransformInPlace(SparseFeatureMatrix* x) const {
-  TRANSER_CHECK_EQ(x->num_features(), scales_.size());
-  for (size_t r = 0; r < x->size(); ++r) {
-    TransformRow(x->Row(r).indices, x->MutableRowValues(r));
-  }
-}
-
-void SparseScaler::TransformRow(std::span<const uint32_t> indices,
-                                std::span<double> values) const {
-  TRANSER_CHECK_EQ(indices.size(), values.size());
-  for (size_t k = 0; k < indices.size(); ++k) {
-    TRANSER_CHECK_LT(indices[k], scales_.size());
-    values[k] *= scales_[indices[k]];
-  }
-}
-
-Status SparseScaler::SaveState(artifact::Encoder* out) const {
-  out->PutU8(options_.center ? 1 : 0);
-  out->PutDoubleVec(scales_);
-  return Status::OK();
-}
-
-Status SparseScaler::LoadState(artifact::Decoder* in) {
-  uint8_t center = 0;
-  std::vector<double> scales;
-  TRANSER_RETURN_IF_ERROR(in->GetU8(&center));
-  TRANSER_RETURN_IF_ERROR(in->GetDoubleVec(&scales));
-  if (center > 1) {
-    return Status::InvalidArgument("sparse scaler flag is malformed");
-  }
-  for (double s : scales) {
-    if (!std::isfinite(s) || !(s > 0.0)) {
-      return Status::InvalidArgument("sparse scaler scales are malformed");
-    }
-  }
-  options_.center = center == 1;
-  scales_ = std::move(scales);
-  return Status::OK();
 }
 
 }  // namespace transer

@@ -1,25 +1,16 @@
 #ifndef TRANSER_ML_SCALER_H_
 #define TRANSER_ML_SCALER_H_
 
-#include <cstdint>
-#include <span>
 #include <vector>
 
-#include "features/sparse_matrix.h"
 #include "linalg/matrix.h"
-#include "util/diagnostics.h"
-#include "util/status.h"
 
 namespace transer {
 
-namespace artifact {
-class Encoder;
-class Decoder;
-}  // namespace artifact
-
 /// \brief Per-feature standardisation (zero mean, unit variance), fit on
 /// training data and applied to train and test alike. Needed by the
-/// gradient-trained models (LR, SVM, MLP) when features are embeddings.
+/// gradient-trained models (LR, SVM, the DTAL* network) when features are
+/// embeddings.
 class StandardScaler {
  public:
   /// Learns column means and standard deviations from `x`.
@@ -37,62 +28,9 @@ class StandardScaler {
   const std::vector<double>& means() const { return means_; }
   const std::vector<double>& stddevs() const { return stddevs_; }
 
-  /// Serialises the fitted moments into an artifact payload.
-  Status SaveState(artifact::Encoder* out) const;
-  /// Restores the moments, validating finiteness and strictly positive
-  /// standard deviations before committing any state.
-  Status LoadState(artifact::Decoder* in);
-
  private:
   std::vector<double> means_;
   std::vector<double> stddevs_;
-};
-
-/// \brief Knobs for SparseScaler.
-struct SparseScalerOptions {
-  /// Centering (subtracting the column mean) would densify every row —
-  /// a zero entry becomes -mean/sd — which defeats the sparse path
-  /// entirely. SparseScaler therefore never centers: a request for it
-  /// is refused with a kSparseCenteringRefused diagnostic and the fit
-  /// proceeds scale-only.
-  bool center = false;
-};
-
-/// \brief Per-feature scaling for CSR matrices that never densifies.
-///
-/// Columns are divided by their root-mean-square over all rows
-/// (implicit zeros included), which maps each feature to unit second
-/// moment while preserving the sparsity pattern exactly — zeros stay
-/// zeros, so memory and kernel cost are untouched. Centering is refused
-/// by design (see SparseScalerOptions::center); the refusal is recorded
-/// as a structured degradation event instead of silently ignored.
-class SparseScaler {
- public:
-  explicit SparseScaler(SparseScalerOptions options = {})
-      : options_(options) {}
-
-  /// Learns per-column RMS scales from `x`. If centering was requested,
-  /// records kSparseCenteringRefused on `diagnostics` (nullable) and
-  /// continues scale-only.
-  void Fit(const SparseFeatureMatrix& x, RunDiagnostics* diagnostics = nullptr);
-
-  /// Scales the stored values of `x` in place. Requires a prior Fit on a
-  /// matrix of the same width.
-  void TransformInPlace(SparseFeatureMatrix* x) const;
-
-  /// Scales one CSR row's values in place (serving-side single rows).
-  void TransformRow(std::span<const uint32_t> indices,
-                    std::span<double> values) const;
-
-  /// Multipliers applied per column (1/rms, constant columns left at 1).
-  const std::vector<double>& scales() const { return scales_; }
-
-  Status SaveState(artifact::Encoder* out) const;
-  Status LoadState(artifact::Decoder* in);
-
- private:
-  SparseScalerOptions options_;
-  std::vector<double> scales_;
 };
 
 }  // namespace transer

@@ -235,13 +235,4 @@ void CharNgramEmbedder::EmbedPairSparse(const std::vector<std::string>& a,
   }
 }
 
-std::vector<std::string> CharNgramEmbedder::SparsePairSchema(
-    size_t num_fields) const {
-  return {StrFormat("sparse_pair_ngram(fields=%zu,dim=%zu,n=%zu..%zu,"
-                    "seed=%llu)",
-                    num_fields, options_.sparse_dimension, options_.min_n,
-                    options_.max_n,
-                    static_cast<unsigned long long>(options_.seed))};
-}
-
 }  // namespace transer

@@ -97,12 +97,6 @@ class CharNgramEmbedder {
                        std::vector<uint32_t>* indices,
                        std::vector<double>* values) const;
 
-  /// Compact schema descriptor of the sparse pair space — the stand-in
-  /// for per-column names (enumerating 2^20 of them would defeat the
-  /// point) that artifact fingerprinting hashes. Two embedders agree on
-  /// it iff they produce interchangeable sparse rows.
-  std::vector<std::string> SparsePairSchema(size_t num_fields) const;
-
  private:
   /// Accumulates the hashed vector of one n-gram into `acc`.
   void AddNgram(std::string_view gram, std::span<double> acc) const;

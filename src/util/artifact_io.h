@@ -140,7 +140,8 @@ struct Section {
 
 /// \brief Container-level identity of an artifact.
 struct Header {
-  /// What the artifact holds: "classifier", "scaler", "transer_pipeline".
+  /// What the artifact holds: "transer_pipeline" (ml/model_store) or
+  /// "stream_snapshot" (stream/stream_resolver).
   std::string kind;
   /// FingerprintFeatureSchema of the feature space the model was trained
   /// on; 0 when the artifact is not bound to a schema.

@@ -50,8 +50,6 @@ const char* DegradationKindName(DegradationKind kind) {
       return "stream_snapshot_fallback";
     case DegradationKind::kStreamRefreshSkipped:
       return "stream_refresh_skipped";
-    case DegradationKind::kSparseCenteringRefused:
-      return "sparse_centering_refused";
     case DegradationKind::kSparseRowsDropped:
       return "sparse_rows_dropped";
     case DegradationKind::kSparseFitUnsupported:

@@ -33,7 +33,6 @@ enum class DegradationKind {
   kStreamRecordQuarantined,  ///< ingest: poison record isolated, stream went on
   kStreamSnapshotFallback,   ///< ingest: snapshot unusable; full journal replay
   kStreamRefreshSkipped,     ///< ingest: classifier refresh due but untrainable
-  kSparseCenteringRefused,   ///< sparse scaler asked to center; scaled only
   kSparseRowsDropped,        ///< sparse validation discarded malformed rows
   kSparseFitUnsupported,     ///< classifier lacks a sparse fit; dense used
   kJournalRetentionStalled,  ///< ingest: disk budget hit, no snapshot covers

@@ -1,6 +1,7 @@
 #ifndef TRANSER_UTIL_FLAGS_H_
 #define TRANSER_UTIL_FLAGS_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/build_info.h"
@@ -74,19 +76,46 @@ class Flags {
     return seconds;
   }
 
-  /// A memory budget given in megabytes and returned in bytes, 0 =
-  /// unlimited. Anything but an integer >= 0 whose byte count fits
-  /// size_t exits 2.
-  size_t GetMemoryLimitBytes(const std::string& name,
-                             double fallback_mb) const {
+  /// A memory budget or size given in megabytes and returned in bytes
+  /// (with the default floor, 0 = unlimited). Anything but an integer
+  /// >= `floor_mb` whose byte count fits size_t exits 2.
+  size_t GetMemoryLimitBytes(const std::string& name, double fallback_mb,
+                             double floor_mb = 0.0) const {
     constexpr double kMaxMb =
         static_cast<double>(std::numeric_limits<size_t>::max() >> 20);
     const double mb = GetDouble(name, fallback_mb);
-    if (!(mb >= 0.0 && mb <= kMaxMb && mb == std::floor(mb))) {
+    if (!(mb >= floor_mb && mb <= kMaxMb && mb == std::floor(mb))) {
       BadValue(name, Find(name).value_or(""),
-               "an integer number of MB >= 0 that fits size_t");
+               StrFormat("an integer number of MB >= %g that fits size_t",
+                         floor_mb)
+                   .c_str());
     }
     return static_cast<size_t>(mb) << 20;
+  }
+
+  /// A whole count (records, slots, lanes, bytes) of type T that is at
+  /// least `floor`. Anything negative, fractional, past T's range or
+  /// below `floor` exits 2, so a negative count can never wrap to a
+  /// huge unsigned one.
+  template <typename T>
+  T GetCount(const std::string& name, T fallback, T floor = 0) const {
+    static_assert(std::is_integral_v<T>);
+    constexpr uint64_t kMax =
+        std::min<uint64_t>(std::numeric_limits<T>::max(),
+                           std::numeric_limits<int64_t>::max());
+    const std::optional<std::string> raw = Find(name);
+    if (!raw.has_value()) return fallback;
+    int64_t value = 0;
+    if (!ParseInt64(*raw, &value) || value < 0 ||
+        static_cast<uint64_t>(value) < static_cast<uint64_t>(floor) ||
+        static_cast<uint64_t>(value) > kMax) {
+      BadValue(name, *raw,
+               StrFormat("a whole number in [%llu, %llu]",
+                         static_cast<unsigned long long>(floor),
+                         static_cast<unsigned long long>(kMax))
+                   .c_str());
+    }
+    return static_cast<T>(value);
   }
 
   /// Anything but "false" or "0" is true.

@@ -15,7 +15,6 @@
 #include "eval/metrics.h"
 #include "knn/brute_force.h"
 #include "ml/knn_classifier.h"
-#include "ml/metrics_util.h"
 #include "ml/random_forest.h"
 #include "util/execution_context.h"
 #include "util/random.h"
@@ -60,6 +59,14 @@ class ConstantProbaClassifier : public Classifier {
  private:
   double proba_;
 };
+
+/// Share of rows where `predicted` agrees with `truth` (labels in {0, 1}).
+double Accuracy(const std::vector<int>& truth,
+                const std::vector<int>& predicted) {
+  const ConfusionCounts counts = CountConfusion(truth, predicted);
+  return static_cast<double>(counts.true_positives + counts.true_negatives) /
+         static_cast<double>(truth.size());
+}
 
 // ---------- KnnClassifier ----------
 

@@ -1,5 +1,5 @@
-// Tests of the additional classifier families (gradient boosting,
-// threshold rule) and the TrAdaBoost semi-supervised transfer method.
+// Tests of the threshold-rule classifier family and the TrAdaBoost
+// semi-supervised transfer method.
 
 #include <memory>
 
@@ -8,8 +8,6 @@
 #include "data/feature_space_generator.h"
 #include "eval/metrics.h"
 #include "ml/decision_tree.h"
-#include "ml/gradient_boosting.h"
-#include "ml/metrics_util.h"
 #include "ml/threshold_classifier.h"
 #include "transfer/tradaboost.h"
 #include "util/random.h"
@@ -17,82 +15,12 @@
 namespace transer {
 namespace {
 
-struct Blobs {
-  Matrix x;
-  std::vector<int> y;
-};
-
-Blobs MakeBlobs(size_t n_per_class, size_t dims, double separation,
-                uint64_t seed) {
-  Rng rng(seed);
-  Blobs blobs;
-  blobs.x = Matrix(2 * n_per_class, dims);
-  blobs.y.resize(2 * n_per_class);
-  for (size_t i = 0; i < 2 * n_per_class; ++i) {
-    const int label = i < n_per_class ? 0 : 1;
-    blobs.y[i] = label;
-    for (size_t d = 0; d < dims; ++d) {
-      blobs.x(i, d) = rng.Gaussian(label == 0 ? 0.0 : separation, 1.0);
-    }
-  }
-  return blobs;
-}
-
-// ---------- GradientBoosting ----------
-
-TEST(GradientBoostingTest, LearnsSeparableBlobs) {
-  const Blobs train = MakeBlobs(200, 4, 3.0, 301);
-  const Blobs test = MakeBlobs(100, 4, 3.0, 302);
-  GradientBoosting gbdt;
-  gbdt.Fit(train.x, train.y);
-  EXPECT_GT(Accuracy(test.y, gbdt.PredictAll(test.x)), 0.95);
-  EXPECT_GT(gbdt.round_count(), 0u);
-}
-
-TEST(GradientBoostingTest, LearnsXorUnlikeLinearModels) {
-  Matrix x(400, 2);
-  std::vector<int> y(400);
-  Rng rng(303);
-  for (size_t i = 0; i < 400; ++i) {
-    const int a = rng.Bernoulli(0.5) ? 1 : 0;
-    const int b = rng.Bernoulli(0.5) ? 1 : 0;
-    x(i, 0) = a + rng.Gaussian(0.0, 0.05);
-    x(i, 1) = b + rng.Gaussian(0.0, 0.05);
-    y[i] = a ^ b;
-  }
-  GradientBoosting gbdt;
-  gbdt.Fit(x, y);
-  EXPECT_GT(Accuracy(y, gbdt.PredictAll(x)), 0.97);
-}
-
-TEST(GradientBoostingTest, ProbabilitiesOrderedAndBounded) {
-  const Blobs train = MakeBlobs(200, 2, 4.0, 304);
-  GradientBoosting gbdt;
-  gbdt.Fit(train.x, train.y);
-  const double p1 = gbdt.PredictProba(std::vector<double>{4.0, 4.0});
-  const double p0 = gbdt.PredictProba(std::vector<double>{0.0, 0.0});
-  EXPECT_GT(p1, 0.9);
-  EXPECT_LT(p0, 0.1);
-  EXPECT_GE(p0, 0.0);
-  EXPECT_LE(p1, 1.0);
-}
-
-TEST(GradientBoostingTest, SampleWeightsShiftDecision) {
-  Matrix x = {{0.0}, {0.0}, {0.0}, {0.0}};
-  std::vector<int> y = {1, 1, 0, 0};
-  GradientBoosting gbdt;
-  gbdt.Fit(x, y, {10.0, 10.0, 0.1, 0.1});
-  EXPECT_GT(gbdt.PredictProba(std::vector<double>{0.0}), 0.5);
-}
-
-TEST(GradientBoostingTest, SingleClassStaysFinite) {
-  Matrix x = {{0.2}, {0.4}};
-  std::vector<int> y = {1, 1};
-  GradientBoosting gbdt;
-  gbdt.Fit(x, y);
-  const double p = gbdt.PredictProba(std::vector<double>{0.3});
-  EXPECT_GT(p, 0.9);
-  EXPECT_LE(p, 1.0);
+/// Share of rows where `predicted` agrees with `truth` (labels in {0, 1}).
+double Accuracy(const std::vector<int>& truth,
+                const std::vector<int>& predicted) {
+  const ConfusionCounts counts = CountConfusion(truth, predicted);
+  return static_cast<double>(counts.true_positives + counts.true_negatives) /
+         static_cast<double>(truth.size());
 }
 
 // ---------- ThresholdClassifier ----------

@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/metrics.h"
 #include "ml/classifier.h"
 #include "ml/decision_tree.h"
 #include "ml/linear_svm.h"
 #include "ml/logistic_regression.h"
-#include "ml/metrics_util.h"
 #include "ml/mlp.h"
 #include "ml/naive_bayes.h"
 #include "ml/random_forest.h"
@@ -39,6 +39,14 @@ Blobs MakeBlobs(size_t n_per_class, size_t dims, double separation,
     }
   }
   return blobs;
+}
+
+/// Share of rows where `predicted` agrees with `truth` (labels in {0, 1}).
+double Accuracy(const std::vector<int>& truth,
+                const std::vector<int>& predicted) {
+  const ConfusionCounts counts = CountConfusion(truth, predicted);
+  return static_cast<double>(counts.true_positives + counts.true_negatives) /
+         static_cast<double>(truth.size());
 }
 
 // ---------- StandardScaler ----------
@@ -104,7 +112,6 @@ std::unique_ptr<Classifier> MakeRf() {
 std::unique_ptr<Classifier> MakeNb() {
   return std::make_unique<GaussianNaiveBayes>();
 }
-std::unique_ptr<Classifier> MakeMlp() { return std::make_unique<Mlp>(); }
 
 class ClassifierContractTest : public ::testing::TestWithParam<MakeFn> {};
 
@@ -152,7 +159,7 @@ TEST_P(ClassifierContractTest, SampleWeightsShiftTheDecision) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ClassifierContractTest,
                          ::testing::Values(&MakeLr, &MakeSvm, &MakeDt,
-                                           &MakeRf, &MakeNb, &MakeMlp));
+                                           &MakeRf, &MakeNb));
 
 // ---------- model-specific behaviour ----------
 
@@ -230,27 +237,6 @@ TEST(NaiveBayesTest, SingleClassTrainingPredictsThatClass) {
   EXPECT_DOUBLE_EQ(nb.PredictProba(std::vector<double>{0.55}), 1.0);
 }
 
-TEST(MlpTest, LearnsXorWithHiddenLayer) {
-  // XOR is not linearly separable; hidden units are required.
-  Matrix x = {{0.0, 0.0}, {0.0, 1.0}, {1.0, 0.0}, {1.0, 1.0}};
-  std::vector<int> y = {0, 1, 1, 0};
-  MlpOptions options;
-  options.hidden = {16};
-  options.epochs = 2000;
-  options.learning_rate = 0.1;
-  options.seed = 70;
-  Mlp mlp(options);
-  // Replicate the four points so SGD sees enough samples.
-  Matrix big(400, 2);
-  std::vector<int> big_y(400);
-  for (size_t i = 0; i < 400; ++i) {
-    for (size_t c = 0; c < 2; ++c) big(i, c) = x(i % 4, c);
-    big_y[i] = y[i % 4];
-  }
-  mlp.Fit(big, big_y);
-  EXPECT_EQ(mlp.PredictAll(x), y);
-}
-
 TEST(DannTest, AbortCallbackStopsTraining) {
   const Blobs source = MakeBlobs(50, 3, 3.0, 71);
   const Blobs target = MakeBlobs(50, 3, 3.0, 72);
@@ -298,40 +284,11 @@ TEST(SamplingTest, UndersampleKeepsAllWhenAlreadyBalanced) {
   EXPECT_EQ(UndersampleNonMatches(labels, 3.0, &rng).size(), 4u);
 }
 
-TEST(SamplingTest, StratifiedSplitPreservesClassMix) {
-  std::vector<int> labels(200, 0);
-  for (size_t i = 0; i < 40; ++i) labels[i] = 1;
-  Rng rng(77);
-  const auto [train, test] = StratifiedSplit(labels, 0.25, &rng);
-  EXPECT_EQ(train.size() + test.size(), 200u);
-  size_t test_matches = 0;
-  for (size_t index : test) test_matches += labels[index] == 1 ? 1 : 0;
-  EXPECT_EQ(test_matches, 10u);  // 25% of 40
-}
-
 TEST(SamplingTest, RandomSubsetSizeAndRange) {
   Rng rng(78);
   const auto subset = RandomSubset(100, 0.3, &rng);
   EXPECT_EQ(subset.size(), 30u);
   for (size_t v : subset) EXPECT_LT(v, 100u);
-}
-
-// ---------- metrics_util ----------
-
-TEST(MetricsUtilTest, AccuracyAndLogLoss) {
-  EXPECT_DOUBLE_EQ(Accuracy({1, 0, 1}, {1, 1, 1}), 2.0 / 3.0);
-  EXPECT_NEAR(LogLoss({1}, {1.0}), 0.0, 1e-9);
-  EXPECT_GT(LogLoss({1}, {0.01}), 4.0);
-}
-
-TEST(MetricsUtilTest, CrossValidationOnSeparableData) {
-  const Blobs blobs = MakeBlobs(100, 3, 4.0, 79);
-  const double acc = CrossValidatedAccuracy(
-      []() -> std::unique_ptr<Classifier> {
-        return std::make_unique<LogisticRegression>();
-      },
-      blobs.x, blobs.y, 5, 80);
-  EXPECT_GT(acc, 0.95);
 }
 
 // ---------- default suite ----------

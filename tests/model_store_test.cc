@@ -1,7 +1,8 @@
-// Tests for the crash-safe model artifact store: bit-identical
-// round-trips for every classifier family, integrity rejection of
-// truncated / bit-flipped / re-stamped files, and the TransER
-// warm-start / serve / fall-back-to-retraining semantics.
+// Tests for the crash-safe model artifact store: bit-identical pipeline
+// snapshot round-trips for every registry classifier family, integrity
+// rejection of truncated / bit-flipped / re-stamped / foreign files,
+// and the TransER warm-start / serve / fall-back-to-retraining
+// semantics.
 
 #include <cmath>
 #include <cstdio>
@@ -14,15 +15,12 @@
 #include "core/transer.h"
 #include "data/feature_space_generator.h"
 #include "ml/decision_tree.h"
-#include "ml/gradient_boosting.h"
 #include "ml/knn_classifier.h"
 #include "ml/linear_svm.h"
 #include "ml/logistic_regression.h"
-#include "ml/mlp.h"
 #include "ml/model_store.h"
 #include "ml/naive_bayes.h"
 #include "ml/random_forest.h"
-#include "ml/scaler.h"
 #include "ml/threshold_classifier.h"
 #include "testing/fault_injection.h"
 #include "util/artifact_io.h"
@@ -61,7 +59,7 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// ---------- Round trips: every shipped classifier family ----------
+// ---------- Round trips: every registry classifier family ----------
 
 using MakeFn = std::unique_ptr<Classifier> (*)();
 
@@ -72,9 +70,6 @@ std::unique_ptr<Classifier> MakeRf() {
   RandomForestOptions options;
   options.num_trees = 8;
   return std::make_unique<RandomForest>(options);
-}
-std::unique_ptr<Classifier> MakeGb() {
-  return std::make_unique<GradientBoosting>();
 }
 std::unique_ptr<Classifier> MakeLr() {
   return std::make_unique<LogisticRegression>();
@@ -88,65 +83,75 @@ std::unique_ptr<Classifier> MakeNb() {
 std::unique_ptr<Classifier> MakeKnn() {
   return std::make_unique<KnnClassifier>();
 }
-std::unique_ptr<Classifier> MakeMlp() { return std::make_unique<Mlp>(); }
 std::unique_ptr<Classifier> MakeThreshold() {
   return std::make_unique<ThresholdClassifier>();
+}
+
+/// A snapshot whose C^U is a `make` classifier fit on two blobs; C^V is
+/// left null.
+TransERPipelineState MakePipelineState(uint64_t seed, MakeFn make = MakeLr) {
+  const Blobs train = MakeBlobs(50, kSchema.size(), 3.0, seed);
+  TransERPipelineState state;
+  state.feature_names = kSchema;
+  state.seed = seed;
+  state.source_rows = 100;
+  state.target_rows = 6;
+  state.selected_indices = {0, 7, 42, 99};
+  state.pseudo_labels = {0, 1, 1, 0, 1, 0};
+  state.pseudo_confidences = {0.1, 0.99, 0.8, 0.05, 1.0, 0.0};
+  std::unique_ptr<Classifier> u = make();
+  u->Fit(train.x, train.y);
+  state.classifier_name = u->name();
+  state.classifier_u = std::move(u);
+  return state;
 }
 
 class ModelRoundTripTest : public ::testing::TestWithParam<MakeFn> {};
 
 TEST_P(ModelRoundTripTest, SaveLoadPredictBitIdentical) {
-  const Blobs train = MakeBlobs(80, kSchema.size(), 3.0, 71);
-  const Blobs test = MakeBlobs(40, kSchema.size(), 3.0, 72);
-  auto original = GetParam()();
-  original->Fit(train.x, train.y);
+  TransERPipelineState state = MakePipelineState(71, GetParam());
+  const Blobs target_train = MakeBlobs(80, kSchema.size(), 2.5, 72);
+  state.classifier_v = GetParam()();
+  state.classifier_v->Fit(target_train.x, target_train.y);
+  const std::string name = state.classifier_name;
 
-  const std::string path =
-      TempPath("roundtrip_" + original->name() + ".tera");
-  ASSERT_TRUE(SaveClassifierArtifact(*original, kSchema, path).ok());
-
-  auto loaded = LoadClassifierArtifact(path, kSchema);
+  const std::string path = TempPath("roundtrip_" + name + ".tera");
+  ASSERT_TRUE(SaveTransERPipelineState(state, path).ok());
+  auto loaded = LoadTransERPipelineState(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().name, original->name());
-  EXPECT_EQ(loaded.value().feature_names, kSchema);
+  const TransERPipelineState& got = loaded.value();
+  EXPECT_EQ(got.classifier_name, name);
+  EXPECT_EQ(got.feature_names, kSchema);
+  ASSERT_NE(got.classifier_u, nullptr);
+  ASSERT_NE(got.classifier_v, nullptr);
 
-  // Bit-identical probabilities, at serial and at 8-lane scoring: the
-  // loaded model must be indistinguishable from the one that was saved.
-  const std::vector<double> want = original->PredictProbaAll(test.x, 1);
-  const std::vector<double> got_1 =
-      loaded.value().classifier->PredictProbaAll(test.x, 1);
-  const std::vector<double> got_8 =
-      loaded.value().classifier->PredictProbaAll(test.x, 8);
-  ASSERT_EQ(want.size(), got_1.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i], got_1[i]) << original->name() << " row " << i;
-    EXPECT_EQ(want[i], got_8[i]) << original->name() << " row " << i;
+  // Bit-identical probabilities for C^U and C^V, at serial and at 8-lane
+  // scoring: the loaded models must be indistinguishable from the ones
+  // that were saved.
+  const Blobs test = MakeBlobs(40, kSchema.size(), 3.0, 73);
+  const std::pair<const Classifier*, const Classifier*> models[] = {
+      {state.classifier_u.get(), got.classifier_u.get()},
+      {state.classifier_v.get(), got.classifier_v.get()}};
+  for (const auto& [original, restored] : models) {
+    const std::vector<double> want = original->PredictProbaAll(test.x, 1);
+    const std::vector<double> got_1 = restored->PredictProbaAll(test.x, 1);
+    const std::vector<double> got_8 = restored->PredictProbaAll(test.x, 8);
+    ASSERT_EQ(want.size(), got_1.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i], got_1[i]) << name << " row " << i;
+      EXPECT_EQ(want[i], got_8[i]) << name << " row " << i;
+    }
   }
   std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, ModelRoundTripTest,
-                         ::testing::Values(MakeDt, MakeRf, MakeGb, MakeLr,
-                                           MakeSvm, MakeNb, MakeKnn,
-                                           MakeMlp, MakeThreshold));
-
-TEST(ModelStoreTest, ScalerRoundTripIsExact) {
-  const Blobs train = MakeBlobs(60, kSchema.size(), 2.0, 73);
-  StandardScaler scaler;
-  scaler.Fit(train.x);
-
-  const std::string path = TempPath("scaler_roundtrip.tera");
-  ASSERT_TRUE(SaveScalerArtifact(scaler, kSchema, path).ok());
-  auto loaded = LoadScalerArtifact(path, kSchema);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().means(), scaler.means());
-  EXPECT_EQ(loaded.value().stddevs(), scaler.stddevs());
-  std::remove(path.c_str());
-}
+                         ::testing::Values(MakeDt, MakeRf, MakeLr, MakeSvm,
+                                           MakeNb, MakeKnn, MakeThreshold));
 
 TEST(ModelStoreTest, UnsaveableClassifierRefusesCleanly) {
   // A user subclass without SaveState must be refused, not written as an
-  // empty artifact.
+  // empty model section.
   class Custom : public Classifier {
    public:
     void Fit(const Matrix&, const std::vector<int>&,
@@ -156,55 +161,41 @@ TEST(ModelStoreTest, UnsaveableClassifierRefusesCleanly) {
     }
     std::string name() const override { return "custom"; }
   };
-  Custom custom;
+  TransERPipelineState state = MakePipelineState(74);
+  state.classifier_u = std::make_unique<Custom>();
+  state.classifier_name = "custom";
   const std::string path = TempPath("custom.tera");
-  const Status status = SaveClassifierArtifact(custom, kSchema, path);
+  std::remove(path.c_str());
+  const Status status = SaveTransERPipelineState(state, path);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   std::vector<uint8_t> bytes;
   EXPECT_FALSE(fault::ReadFileBytes(path, &bytes).ok());
 }
 
-// ---------- Rejection: missing, mismatched, tampered ----------
+// ---------- Rejection: missing, foreign, tampered ----------
 
 TEST(ModelStoreTest, MissingFileIsNotFound) {
-  auto loaded = LoadClassifierArtifact(TempPath("nonexistent.tera"), {});
+  auto loaded = LoadTransERPipelineState(TempPath("nonexistent.tera"));
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-TEST(ModelStoreTest, SchemaMismatchIsFailedPrecondition) {
-  const Blobs train = MakeBlobs(40, kSchema.size(), 3.0, 74);
-  LogisticRegression model;
-  model.Fit(train.x, train.y);
-  const std::string path = TempPath("schema_mismatch.tera");
-  ASSERT_TRUE(SaveClassifierArtifact(model, kSchema, path).ok());
-
-  auto mismatched =
-      LoadClassifierArtifact(path, {"different", "schema", "here", "now"});
-  EXPECT_EQ(mismatched.status().code(), StatusCode::kFailedPrecondition);
-
-  // An empty expected schema skips the check (caller takes the artifact's
-  // own binding).
-  EXPECT_TRUE(LoadClassifierArtifact(path, {}).ok());
-  std::remove(path.c_str());
-}
-
 TEST(ModelStoreTest, KindMismatchIsFailedPrecondition) {
-  const Blobs train = MakeBlobs(40, kSchema.size(), 2.0, 75);
-  StandardScaler scaler;
-  scaler.Fit(train.x);
+  // A well-formed artifact of another kind is refused by its identity,
+  // before any of its sections is parsed.
+  artifact::Header header;
+  header.kind = "stream_snapshot";
+  header.schema_fingerprint = artifact::FingerprintFeatureSchema(kSchema);
   const std::string path = TempPath("kind_mismatch.tera");
-  ASSERT_TRUE(SaveScalerArtifact(scaler, kSchema, path).ok());
-  auto loaded = LoadClassifierArtifact(path, kSchema);
+  ASSERT_TRUE(
+      artifact::WriteArtifact(path, header, {{"meta", {1, 2, 3}}}).ok());
+  auto loaded = LoadTransERPipelineState(path);
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
 }
 
 TEST(ModelStoreTest, FutureFormatVersionIsFailedPrecondition) {
-  const Blobs train = MakeBlobs(40, kSchema.size(), 3.0, 76);
-  LogisticRegression model;
-  model.Fit(train.x, train.y);
   const std::string path = TempPath("future_version.tera");
-  ASSERT_TRUE(SaveClassifierArtifact(model, kSchema, path).ok());
+  ASSERT_TRUE(SaveTransERPipelineState(MakePipelineState(76), path).ok());
 
   // Bump the version field (right after the 4-byte magic) and re-stamp
   // the whole-file trailer CRC so only the version check can object.
@@ -219,17 +210,18 @@ TEST(ModelStoreTest, FutureFormatVersionIsFailedPrecondition) {
   }
   ASSERT_TRUE(fault::WriteFileBytes(path, bytes).ok());
 
-  auto loaded = LoadClassifierArtifact(path, kSchema);
+  auto loaded = LoadTransERPipelineState(path);
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
 }
 
 TEST(ModelStoreTest, EveryTruncationIsRejectedCleanly) {
-  const Blobs train = MakeBlobs(30, kSchema.size(), 3.0, 77);
-  ThresholdClassifier model;  // smallest artifact -> every prefix testable
-  model.Fit(train.x, train.y);
+  // The threshold family gives the smallest snapshot, so every prefix
+  // stays testable.
   const std::string path = TempPath("truncation.tera");
-  ASSERT_TRUE(SaveClassifierArtifact(model, kSchema, path).ok());
+  ASSERT_TRUE(
+      SaveTransERPipelineState(MakePipelineState(77, MakeThreshold), path)
+          .ok());
   std::vector<uint8_t> pristine;
   ASSERT_TRUE(fault::ReadFileBytes(path, &pristine).ok());
 
@@ -237,53 +229,14 @@ TEST(ModelStoreTest, EveryTruncationIsRejectedCleanly) {
   for (size_t keep = 0; keep < pristine.size(); ++keep) {
     std::vector<uint8_t> prefix(pristine.begin(), pristine.begin() + keep);
     ASSERT_TRUE(fault::WriteFileBytes(torn, prefix).ok());
-    auto loaded = LoadClassifierArtifact(torn, kSchema);
+    auto loaded = LoadTransERPipelineState(torn);
     EXPECT_FALSE(loaded.ok()) << "prefix of " << keep << " bytes accepted";
   }
   std::remove(path.c_str());
   std::remove(torn.c_str());
 }
 
-TEST(ModelStoreTest, EveryByteFlipIsRejectedCleanly) {
-  const Blobs train = MakeBlobs(30, kSchema.size(), 3.0, 78);
-  ThresholdClassifier model;
-  model.Fit(train.x, train.y);
-  const std::string path = TempPath("byteflip.tera");
-  ASSERT_TRUE(SaveClassifierArtifact(model, kSchema, path).ok());
-  std::vector<uint8_t> pristine;
-  ASSERT_TRUE(fault::ReadFileBytes(path, &pristine).ok());
-
-  // A flipped byte anywhere — magic, header, payload, CRC trailer —
-  // must yield a clean non-OK load: CRC-32 catches any 8-bit burst.
-  const std::string mutated = TempPath("byteflip_mut.tera");
-  for (size_t offset = 0; offset < pristine.size(); ++offset) {
-    ASSERT_TRUE(fault::WriteFileBytes(mutated, pristine).ok());
-    ASSERT_TRUE(fault::FlipFileByte(mutated, offset).ok());
-    auto loaded = LoadClassifierArtifact(mutated, kSchema);
-    EXPECT_FALSE(loaded.ok()) << "flip at offset " << offset << " accepted";
-  }
-  std::remove(path.c_str());
-  std::remove(mutated.c_str());
-}
-
 // ---------- TransER pipeline snapshots ----------
-
-TransERPipelineState MakePipelineState(uint64_t seed) {
-  const Blobs train = MakeBlobs(50, kSchema.size(), 3.0, seed);
-  TransERPipelineState state;
-  state.feature_names = kSchema;
-  state.seed = seed;
-  state.source_rows = 100;
-  state.target_rows = 6;
-  state.selected_indices = {0, 7, 42, 99};
-  state.pseudo_labels = {0, 1, 1, 0, 1, 0};
-  state.pseudo_confidences = {0.1, 0.99, 0.8, 0.05, 1.0, 0.0};
-  auto u = std::make_unique<LogisticRegression>();
-  u->Fit(train.x, train.y);
-  state.classifier_name = u->name();
-  state.classifier_u = std::move(u);
-  return state;
-}
 
 TEST(PipelineSnapshotTest, RoundTripPreservesEverything) {
   TransERPipelineState state = MakePipelineState(81);
@@ -458,6 +411,45 @@ TEST(WarmStartTest, IncompatibleSnapshotIsIgnoredWithEvent) {
   EXPECT_FALSE(report.warm_started);
   EXPECT_TRUE(
       report.diagnostics.HasKind(DegradationKind::kModelArtifactRejected));
+  std::remove(path.c_str());
+}
+
+TEST(WarmStartTest, SnapshotFromAnotherSchemaIsRejectedAndRetrained) {
+  const TransferPair pair = MakePair(94);
+  const std::string path = TempPath("warmstart_schema.tera");
+  std::remove(path.c_str());
+  TransER transer;
+  TransferRunOptions options;
+  options.seed = 7;
+  options.model_snapshot_path = path;
+
+  TransERReport cold_report;
+  auto cold = transer.RunWithReport(pair.source,
+                                    pair.target.WithoutLabels(),
+                                    LrFactory(), options, &cold_report);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  // Re-publish the complete snapshot bound to another feature schema of
+  // the same width: seed and domain sizes still agree with the run, so
+  // only the schema binding can refuse it.
+  auto snapshot = LoadTransERPipelineState(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  TransERPipelineState foreign = std::move(snapshot).value();
+  ASSERT_NE(foreign.classifier_v, nullptr);
+  for (std::string& name : foreign.feature_names) name += "_other";
+  ASSERT_TRUE(SaveTransERPipelineState(foreign, path).ok());
+
+  TransERReport report;
+  auto rerun = transer.RunWithReport(pair.source,
+                                     pair.target.WithoutLabels(),
+                                     LrFactory(), options, &report);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_FALSE(report.warm_started);
+  EXPECT_FALSE(report.served_from_snapshot);
+  EXPECT_TRUE(
+      report.diagnostics.HasKind(DegradationKind::kModelArtifactRejected));
+  EXPECT_FALSE(report.diagnostics.HasKind(DegradationKind::kModelWarmStarted));
+  EXPECT_EQ(cold.value(), rerun.value());
   std::remove(path.c_str());
 }
 

@@ -18,6 +18,7 @@
 #include "serve/model_repository.h"
 #include "serve/retry.h"
 #include "testing/fault_injection.h"
+#include "util/artifact_io.h"
 #include "util/random.h"
 
 namespace transer {
@@ -366,22 +367,15 @@ TEST(ModelRepositoryTest, EnospcTornWriteGivesUpCleanly) {
 }
 
 TEST(ModelRepositoryTest, PermanentErrorsAreNotRetried) {
-  // A wrong-kind artifact (classifier, not pipeline) fails with
-  // FailedPrecondition: permanent, so no backoff is burned on it.
+  // A well-formed artifact of another kind fails with FailedPrecondition:
+  // permanent, so no backoff is burned on it.
   const std::string dir = MakeModelDir("permanent");
-  Rng rng(12);
-  Matrix x(40, 3);
-  std::vector<int> y(40);
-  for (size_t i = 0; i < 40; ++i) {
-    y[i] = i < 20 ? 0 : 1;
-    for (size_t d = 0; d < 3; ++d) {
-      x(i, d) = rng.Gaussian(y[i] == 0 ? 0.0 : 3.0, 1.0);
-    }
-  }
-  LogisticRegression classifier;
-  classifier.Fit(x, y);
-  ASSERT_TRUE(
-      SaveClassifierArtifact(classifier, kSchemaA, dir + "/clf.tera").ok());
+  artifact::Header header;
+  header.kind = "classifier";
+  header.schema_fingerprint = artifact::FingerprintFeatureSchema(kSchemaA);
+  ASSERT_TRUE(artifact::WriteArtifact(dir + "/clf.tera", header,
+                                      {{"meta", {1, 2, 3}}})
+                  .ok());
 
   std::vector<double> sleeps;
   ModelRepository repository(FastOptions(dir),

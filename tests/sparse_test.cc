@@ -2,8 +2,8 @@
 // CSR validation, sparse kernels against their scalar references,
 // sparse↔dense training equivalence, the culled sparse weight layout
 // under truncation / byte-flip fuzzing, L-BFGS-vs-SGD convergence, the
-// thread-count invariance of the shared loss/gradient kernel, the
-// sparse scaler's centering refusal, and the run-options fit dispatch.
+// thread-count invariance of the shared loss/gradient kernel, and the
+// run-options fit dispatch.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "ml/linear_svm.h"
 #include "ml/logistic_regression.h"
 #include "ml/random_forest.h"
-#include "ml/scaler.h"
 #include "ml/sparse_weights.h"
 #include "text/char_ngram_embedder.h"
 #include "transfer/transfer_method.h"
@@ -53,17 +52,6 @@ FeatureMatrix DenseProblem(size_t rows, size_t cols, uint64_t seed) {
     }
     x.Append(row, label);
   }
-  return x;
-}
-
-SparseFeatureMatrix SmallCsr() {
-  SparseFeatureMatrix x(8);
-  const std::vector<uint32_t> i0 = {0, 3, 7};
-  const std::vector<double> v0 = {1.0, -2.0, 0.5};
-  const std::vector<uint32_t> i1 = {1, 3};
-  const std::vector<double> v1 = {4.0, 2.0};
-  x.AppendRow(i0, v0, kMatch);
-  x.AppendRow(i1, v1, kNonMatch);
   return x;
 }
 
@@ -444,53 +432,6 @@ TEST(ThreadInvarianceTest, LossAndGradientBitIdenticalAt1And8Threads) {
   EXPECT_EQ(loss1.value(), loss8.value());
   EXPECT_EQ(bias_grad1, bias_grad8);
   EXPECT_EQ(grad1, grad8);
-}
-
-// ---------- SparseScaler ----------
-
-TEST(SparseScalerTest, FitsRmsScalesWithoutDensifying) {
-  SparseFeatureMatrix x = SmallCsr();
-  SparseScaler scaler;
-  scaler.Fit(x);
-  ASSERT_EQ(scaler.scales().size(), 8u);
-  // Column 3 holds {-2, 2} over 2 rows: rms = sqrt(8/2) = 2.
-  EXPECT_NEAR(scaler.scales()[3], 0.5, 1e-12);
-  // Untouched columns keep the identity scale.
-  EXPECT_EQ(scaler.scales()[2], 1.0);
-
-  scaler.TransformInPlace(&x);
-  EXPECT_NEAR(x.Row(0).values[1], -1.0, 1e-12);  // -2 * 0.5
-  EXPECT_EQ(x.nnz(), 5u);  // the pattern never grows
-
-  // TransformRow applies the same scales to a serving-side row.
-  std::vector<uint32_t> row_idx = {3};
-  std::vector<double> row_val = {4.0};
-  scaler.TransformRow(row_idx, row_val);
-  EXPECT_NEAR(row_val[0], 2.0, 1e-12);
-}
-
-TEST(SparseScalerTest, RefusesCenteringWithStructuredDiagnostic) {
-  const SparseFeatureMatrix x = SmallCsr();
-  SparseScalerOptions options;
-  options.center = true;
-  SparseScaler scaler(options);
-  RunDiagnostics diagnostics;
-  scaler.Fit(x, &diagnostics);
-  EXPECT_TRUE(diagnostics.HasKind(DegradationKind::kSparseCenteringRefused));
-  // The refusal is graceful: scale-only fitting still happened.
-  EXPECT_EQ(scaler.scales().size(), 8u);
-  EXPECT_NEAR(scaler.scales()[3], 0.5, 1e-12);
-}
-
-TEST(SparseScalerTest, SaveLoadRoundTrip) {
-  SparseScaler scaler;
-  scaler.Fit(SmallCsr());
-  artifact::Encoder encoder;
-  ASSERT_TRUE(scaler.SaveState(&encoder).ok());
-  SparseScaler restored;
-  artifact::Decoder decoder(encoder.bytes());
-  ASSERT_TRUE(restored.LoadState(&decoder).ok());
-  EXPECT_EQ(restored.scales(), scaler.scales());
 }
 
 // ---------- Sparse embedder output ----------

@@ -410,6 +410,23 @@ TEST(StreamResolverTest, WarmStartsFromPublishedArtifact) {
   ASSERT_FALSE(missing.ok());
 }
 
+TEST(StreamResolverTest, WarmStartFromAnotherSchemaIsRefused) {
+  const std::string dir = MakeStreamDir("warm_start_schema");
+  StreamResolver teacher = MakeResolver(FastResolverOptions());
+  ApplyRange(&teacher, 1, 30);
+  const std::string path = dir + "/teacher.tera";
+  ASSERT_TRUE(teacher.PublishTo(path).ok());
+
+  // A model trained on another feature schema would score this stream's
+  // pairs on the wrong columns; the replica must refuse to start.
+  StreamResolverOptions reschema = FastResolverOptions();
+  reschema.schema = Schema{{"title", "jaro_winkler"}};
+  reschema.warm_start_path = path;
+  auto created = StreamResolver::Create(reschema);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kFailedPrecondition);
+}
+
 // ---------- StreamIngestor recovery ----------
 
 StreamIngestorOptions FastIngestorOptions(const std::string& dir,

@@ -248,7 +248,9 @@ Flags ParseFlags(std::vector<std::string> args) {
   std::vector<char*> argv;
   for (std::string& arg : args) argv.push_back(arg.data());
   return Flags(static_cast<int>(argv.size()), argv.data(),
-               {"time-limit-s", "memory-limit-mb", "sparse", "name"});
+               {"time-limit-s", "memory-limit-mb", "sparse", "name", "count",
+                "writers", "queue", "frame-mb", "clients", "deadline-ms",
+                "max-frame-mb", "segment-mb"});
 }
 
 TEST(FlagsTest, ReadsKnownFlags) {
@@ -268,6 +270,16 @@ TEST(FlagsTest, ReadsBudgets) {
   const Flags defaults = ParseFlags({"tool"});
   EXPECT_EQ(defaults.GetTimeLimitSeconds("time-limit-s", 0.0), 0.0);
   EXPECT_EQ(defaults.GetMemoryLimitBytes("memory-limit-mb", 64), 64u << 20);
+}
+
+TEST(FlagsTest, ReadsCounts) {
+  const Flags flags = ParseFlags(
+      {"tool", "--count=300", "--writers=4", "--queue=0", "--frame-mb=2"});
+  EXPECT_EQ(flags.GetCount<uint64_t>("count", 64), 300u);
+  EXPECT_EQ(flags.GetCount<size_t>("writers", 1, 1), 4u);
+  EXPECT_EQ(flags.GetCount<size_t>("queue", 8), 0u);
+  EXPECT_EQ(flags.GetCount<int>("missing", 7, 1), 7);
+  EXPECT_EQ(flags.GetMemoryLimitBytes("frame-mb", 64, 1), size_t{2} << 20);
 }
 
 TEST(FlagsDeathTest, UnknownFlagsAndBadValuesExitTwo) {
@@ -297,6 +309,41 @@ TEST(FlagsDeathTest, BudgetsThatWouldRunUnlimitedExitTwo) {
         ::testing::ExitedWithCode(2), "bad value for --memory-limit-mb")
         << megabytes;
   }
+}
+
+TEST(FlagsDeathTest, CountsThatWouldWrapExitTwo) {
+  // A negative count must not wrap to a huge unsigned one; fractions,
+  // int64 overflow and values past the destination type are refused too.
+  for (const char* count : {"-1", "1.5", "1e3", "99999999999999999999"}) {
+    EXPECT_EXIT(ParseFlags({"tool", std::string("--count=") + count})
+                    .GetCount<uint64_t>("count", 64),
+                ::testing::ExitedWithCode(2), "bad value for --count")
+        << count;
+  }
+  EXPECT_EXIT(ParseFlags({"tool", "--clients=2147483648"})
+                  .GetCount<int>("clients", 4, 1),
+              ::testing::ExitedWithCode(2), "bad value for --clients");
+  EXPECT_EXIT(ParseFlags({"tool", "--deadline-ms=4294967296"})
+                  .GetCount<uint32_t>("deadline-ms", 0),
+              ::testing::ExitedWithCode(2), "bad value for --deadline-ms");
+  // Below the floor: 0 writers or slots has no meaning.
+  for (const char* writers : {"0", "-1"}) {
+    EXPECT_EXIT(ParseFlags({"tool", std::string("--writers=") + writers})
+                    .GetCount<size_t>("writers", 1, 1),
+                ::testing::ExitedWithCode(2), "bad value for --writers")
+        << writers;
+  }
+  // Megabyte sizes keep the whole-MB rule and gain the same floor.
+  for (const char* megabytes : {"0", "-1", "0.5"}) {
+    EXPECT_EXIT(
+        ParseFlags({"tool", std::string("--max-frame-mb=") + megabytes})
+            .GetMemoryLimitBytes("max-frame-mb", 64, 1),
+        ::testing::ExitedWithCode(2), "bad value for --max-frame-mb")
+        << megabytes;
+  }
+  EXPECT_EXIT(ParseFlags({"tool", "--segment-mb=-1"})
+                  .GetMemoryLimitBytes("segment-mb", 8),
+              ::testing::ExitedWithCode(2), "bad value for --segment-mb");
 }
 
 // ---------- Csv ----------
