@@ -8,6 +8,7 @@
 #include "data/dataset.h"
 #include "features/feature_matrix.h"
 #include "util/execution_context.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace transer {
@@ -33,13 +34,17 @@ class MinHashLshBlocker {
   explicit MinHashLshBlocker(MinHashLshOptions options = {});
 
   /// Returns deduplicated candidate pairs between `left` and `right`.
-  /// Checks the deadline / cancellation per record while min-hashing and
-  /// per band while bucketing, and reserves the signature storage
-  /// against the memory budget.
+  /// Signs every record, and groups each band's bucket keys, on the
+  /// parallel runtime; the pair list is then emitted serially in band
+  /// order, so it is identical at any thread count. Workers poll the
+  /// deadline / cancellation per chunk of records (and per band); the
+  /// signature and band-key storage is reserved against the memory
+  /// budget.
   Result<std::vector<PairRef>> Block(const Dataset& left,
                                      const Dataset& right,
                                      const ExecutionContext& context,
-                                     RunDiagnostics* diagnostics = nullptr)
+                                     RunDiagnostics* diagnostics = nullptr,
+                                     const ParallelOptions& options = {})
       const;
 
   /// The minhash signature of one record (num_bands*rows_per_band values);
@@ -47,8 +52,10 @@ class MinHashLshBlocker {
   std::vector<uint64_t> Signature(const Record& record) const;
 
  private:
-  /// Joined, normalised shingle set of the configured attributes.
-  std::vector<uint64_t> ShingleHashes(const Record& record) const;
+  /// Writes the signature of `record` to `signature` (hash_seeds_.size()
+  /// values); `scratch` holds each normalised value in turn.
+  void SignInto(const Record& record, std::string* scratch,
+                uint64_t* signature) const;
 
   MinHashLshOptions options_;
   std::vector<uint64_t> hash_seeds_;  ///< one per minhash row

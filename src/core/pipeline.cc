@@ -11,23 +11,23 @@ Result<FeatureMatrix> BuildDomainFeatures(const LinkageProblem& problem,
     return Status::InvalidArgument(
         "left and right database schemas are incompatible");
   }
+  ParallelOptions parallel;
+  parallel.num_threads = options.num_threads;
+  parallel.diagnostics = diagnostics;
   const MinHashLshBlocker blocker(options.blocking);
-  TRANSER_ASSIGN_OR_RETURN(
-      const std::vector<PairRef> pairs,
-      blocker.Block(problem.left, problem.right, context, diagnostics));
+  TRANSER_ASSIGN_OR_RETURN(const std::vector<PairRef> pairs,
+                           blocker.Block(problem.left, problem.right, context,
+                                         diagnostics, parallel));
   TRANSER_RETURN_IF_ERROR(context.Check("pipeline", diagnostics));
 
   auto comparator = PairComparator::Create(problem.left.schema(),
                                            problem.right.schema(),
                                            options.comparison);
   if (!comparator.ok()) return comparator.status();
-  ParallelOptions compare_parallel;
-  compare_parallel.num_threads = options.num_threads;
-  compare_parallel.diagnostics = diagnostics;
   TRANSER_ASSIGN_OR_RETURN(
       FeatureMatrix features,
       comparator.value().CompareAll(problem.left, problem.right, pairs,
-                                    context, compare_parallel));
+                                    context, parallel));
 
   if (info != nullptr) {
     info->candidate_pairs = pairs.size();

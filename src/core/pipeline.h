@@ -24,8 +24,8 @@ struct PipelineOptions {
   /// DegradationEvent) rather than failing the whole linkage; set the
   /// policy to kStrict to reject dirty domains instead.
   ValidationOptions validation{.policy = RepairPolicy::kClampValues};
-  /// Worker lanes for the comparison fill (0 = process default). The
-  /// feature matrix is bit-identical for every value.
+  /// Worker lanes for blocking and comparison (0 = process default). The
+  /// pair list and the feature matrix are bit-identical for every value.
   int num_threads = 0;
 };
 

@@ -2,6 +2,7 @@
 #define TRANSER_FEATURES_COMPARATOR_H_
 
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset.h"
@@ -22,9 +23,35 @@ struct ComparatorOptions {
   double missing_value_similarity = 0.0;
 };
 
+/// \brief Records prepared for comparison by one PairComparator, held in
+/// one arena: for each record and attribute, the normalised value, its
+/// word tokens and its sorted unique word set. Move-only (through its
+/// reservation): the prepared values view the arena's own buffers, which
+/// a move hands over intact and a copy would not.
+class PreparedRecords {
+ public:
+  /// The prepared attribute values of the `slot`-th prepared record.
+  std::span<const PreparedValue> operator[](size_t slot) const {
+    return std::span<const PreparedValue>(values_).subspan(slot * width_,
+                                                           width_);
+  }
+
+ private:
+  friend class PairComparator;
+
+  size_t width_ = 0;
+  std::vector<char> text_;               ///< normalised values
+  std::vector<std::string_view> words_;  ///< per value: words, word set
+  std::vector<PreparedValue> values_;    ///< record-major
+  ScopedReservation memory_;             ///< the arena's bytes
+};
+
 /// \brief The record-pair comparison step (Figure 1): evaluates the
 /// schema's per-attribute similarity functions on candidate pairs and
 /// emits the feature matrix. Labels come from ground-truth entity ids.
+///
+/// Every path compares prepared records: each record is normalised and
+/// tokenised once, then every pair it takes part in reads that form.
 class PairComparator {
  public:
   /// Fails with NotFound if the schema references an unregistered
@@ -33,19 +60,26 @@ class PairComparator {
                                        const Schema& right_schema,
                                        ComparatorOptions options = {});
 
-  /// Feature vector of one record pair (values normalised first).
+  /// Prepares one record for comparison (serially, with no budget).
+  PreparedRecords Prepare(const Record& record) const;
+
+  /// Feature vector of one record pair: prepares both, then CompareInto.
   std::vector<double> Compare(const Record& left, const Record& right) const;
 
-  /// Compare() into a caller-owned buffer of num_features() doubles —
-  /// the allocation-free kernel of the parallel CompareAll fill.
-  void CompareInto(const Record& left, const Record& right,
+  /// The feature vector of two prepared records (num_features() values
+  /// each) into a caller-owned buffer of num_features() doubles — the
+  /// allocation-free kernel of every comparison path.
+  void CompareInto(std::span<const PreparedValue> left,
+                   std::span<const PreparedValue> right,
                    std::span<double> out) const;
 
   /// Compares every candidate pair, labelling each by entity-id equality,
-  /// over the parallel runtime: pairs are filled into pre-sized rows in
-  /// chunks, so the matrix is bit-identical for any thread count.
-  /// Workers poll `context`; a TE / ME / cancellation surfaces as the
-  /// usual FailedPrecondition.
+  /// over the parallel runtime. Each record some pair references is
+  /// prepared once, in parallel, into one arena per dataset that is
+  /// reserved against `context`'s memory budget; pairs are then filled
+  /// into pre-sized rows in chunks, so the matrix is bit-identical for
+  /// any thread count. Workers poll `context`; a TE / ME / cancellation
+  /// surfaces as the usual FailedPrecondition.
   Result<FeatureMatrix> CompareAll(const Dataset& left, const Dataset& right,
                                    const std::vector<PairRef>& pairs,
                                    const ExecutionContext& context,
@@ -60,13 +94,21 @@ class PairComparator {
 
  private:
   PairComparator(std::vector<std::string> names,
-                 std::vector<SimilarityFn> fns, ComparatorOptions options)
+                 std::vector<PreparedSimilarityFn> fns,
+                 ComparatorOptions options)
       : feature_names_(std::move(names)),
         similarity_fns_(std::move(fns)),
         options_(options) {}
 
+  /// Prepares `records` into one arena (slot s holds *records[s]) on the
+  /// parallel runtime. The arena is allocated on the calling thread and
+  /// reserved against `context`'s memory budget for its lifetime.
+  Result<PreparedRecords> PrepareAll(std::span<const Record* const> records,
+                                     const ExecutionContext& context,
+                                     const ParallelOptions& options) const;
+
   std::vector<std::string> feature_names_;
-  std::vector<SimilarityFn> similarity_fns_;
+  std::vector<PreparedSimilarityFn> similarity_fns_;
   ComparatorOptions options_;
 };
 

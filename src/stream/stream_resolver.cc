@@ -161,9 +161,12 @@ Status StreamResolver::ApplyRecord(const Record& record,
   TRANSER_RETURN_IF_ERROR(knn_.Insert(embedder_.EmbedFields(record.values)));
   const std::vector<size_t> candidates =
       blocking_.InsertAndCollect(index, record);
+  const PreparedRecords arriving = comparator_.Prepare(record);
+  std::vector<double> features(comparator_.num_features());
   for (size_t candidate : candidates) {
-    const std::vector<double> features =
-        comparator_.Compare(records_[candidate], record);
+    const PreparedRecords stored = comparator_.Prepare(records_[candidate]);
+    comparator_.CompareInto(stored[0], arriving[0],
+                            std::span<double>(features));
     const double score = classifier_->PredictProba(features);
     const int label = score >= options_.match_threshold ? 1 : 0;
     pair_features_.insert(pair_features_.end(), features.begin(),

@@ -1,6 +1,7 @@
 #ifndef TRANSER_TEXT_NORMALIZE_H_
 #define TRANSER_TEXT_NORMALIZE_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -18,6 +19,12 @@ struct NormalizeOptions {
 /// Normalises an attribute value per `options`.
 std::string NormalizeValue(std::string_view value,
                            const NormalizeOptions& options = {});
+
+/// NormalizeValue() into a caller-owned buffer of at least value.size()
+/// chars (normalisation never lengthens a value); returns the normalised
+/// length. The allocation-free form used by blocking and comparison.
+size_t NormalizeInto(std::string_view value, const NormalizeOptions& options,
+                     char* out);
 
 /// True if the value is empty after trimming (treated as missing).
 bool IsMissing(std::string_view value);

@@ -9,9 +9,9 @@ namespace transer {
 
 namespace {
 
-// Intersection size of two sorted unique vectors.
-size_t SortedIntersectionSize(const std::vector<std::string>& a,
-                              const std::vector<std::string>& b) {
+// Intersection size of two sorted unique sequences.
+template <typename T>
+size_t SortedIntersectionSize(std::span<const T> a, std::span<const T> b) {
   size_t i = 0, j = 0, count = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -27,17 +27,23 @@ size_t SortedIntersectionSize(const std::vector<std::string>& a,
   return count;
 }
 
+// Jaccard of two sorted unique sequences.
+template <typename T>
+double SortedJaccard(std::span<const T> a, std::span<const T> b) {
+  if (a.empty() && b.empty()) return 1.0;
+  const size_t inter = SortedIntersectionSize(a, b);
+  const size_t uni = a.size() + b.size() - inter;
+  return uni == 0 ? 0.0
+                  : static_cast<double>(inter) / static_cast<double>(uni);
+}
+
 }  // namespace
 
 double JaccardSimilarity(const std::vector<std::string>& a,
                          const std::vector<std::string>& b) {
   const auto sa = UniqueSorted(a);
   const auto sb = UniqueSorted(b);
-  if (sa.empty() && sb.empty()) return 1.0;
-  const size_t inter = SortedIntersectionSize(sa, sb);
-  const size_t uni = sa.size() + sb.size() - inter;
-  return uni == 0 ? 0.0
-                  : static_cast<double>(inter) / static_cast<double>(uni);
+  return SortedJaccard<std::string>(sa, sb);
 }
 
 double DiceSimilarity(const std::vector<std::string>& a,
@@ -46,7 +52,7 @@ double DiceSimilarity(const std::vector<std::string>& a,
   const auto sb = UniqueSorted(b);
   if (sa.empty() && sb.empty()) return 1.0;
   if (sa.empty() || sb.empty()) return 0.0;
-  const size_t inter = SortedIntersectionSize(sa, sb);
+  const size_t inter = SortedIntersectionSize<std::string>(sa, sb);
   return 2.0 * static_cast<double>(inter) /
          static_cast<double>(sa.size() + sb.size());
 }
@@ -57,13 +63,22 @@ double OverlapCoefficient(const std::vector<std::string>& a,
   const auto sb = UniqueSorted(b);
   if (sa.empty() && sb.empty()) return 1.0;
   if (sa.empty() || sb.empty()) return 0.0;
-  const size_t inter = SortedIntersectionSize(sa, sb);
+  const size_t inter = SortedIntersectionSize<std::string>(sa, sb);
   return static_cast<double>(inter) /
          static_cast<double>(std::min(sa.size(), sb.size()));
 }
 
 double WordJaccardSimilarity(std::string_view a, std::string_view b) {
-  return JaccardSimilarity(WordTokens(a), WordTokens(b));
+  std::vector<std::string_view> sa = WordViews(a);
+  std::vector<std::string_view> sb = WordViews(b);
+  sa.resize(SortUniqueWords(sa));
+  sb.resize(SortUniqueWords(sb));
+  return WordSetJaccard(sa, sb);
+}
+
+double WordSetJaccard(std::span<const std::string_view> a,
+                      std::span<const std::string_view> b) {
+  return SortedJaccard(a, b);
 }
 
 double QGramJaccardSimilarity(std::string_view a, std::string_view b,
@@ -77,14 +92,14 @@ double QGramDiceSimilarity(std::string_view a, std::string_view b, size_t q) {
                         QGrams(b, q, /*padded=*/true));
 }
 
-double MongeElkanSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b) {
+double MongeElkanSimilarity(std::span<const std::string_view> a,
+                            std::span<const std::string_view> b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   double total = 0.0;
-  for (const auto& ta : a) {
+  for (std::string_view ta : a) {
     double best = 0.0;
-    for (const auto& tb : b) {
+    for (std::string_view tb : b) {
       best = std::max(best, JaroWinklerSimilarity(ta, tb));
     }
     total += best;
@@ -93,9 +108,12 @@ double MongeElkanSimilarity(const std::vector<std::string>& a,
 }
 
 double SymmetricMongeElkan(std::string_view a, std::string_view b) {
-  const auto ta = WordTokens(a);
-  const auto tb = WordTokens(b);
-  return std::max(MongeElkanSimilarity(ta, tb), MongeElkanSimilarity(tb, ta));
+  return SymmetricMongeElkan(WordViews(a), WordViews(b));
+}
+
+double SymmetricMongeElkan(std::span<const std::string_view> a,
+                           std::span<const std::string_view> b) {
+  return std::max(MongeElkanSimilarity(a, b), MongeElkanSimilarity(b, a));
 }
 
 }  // namespace transer

@@ -1,6 +1,7 @@
 #ifndef TRANSER_TEXT_SET_SIMILARITY_H_
 #define TRANSER_TEXT_SET_SIMILARITY_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +25,11 @@ double OverlapCoefficient(const std::vector<std::string>& a,
 /// general textual strings (titles, venues, albums).
 double WordJaccardSimilarity(std::string_view a, std::string_view b);
 
+/// WordJaccardSimilarity() over already sorted unique word sets (the
+/// prepared form; see SortUniqueWords).
+double WordSetJaccard(std::span<const std::string_view> a,
+                      std::span<const std::string_view> b);
+
 /// Jaccard over padded character q-grams (default bigrams), robust to
 /// typographical errors in short strings.
 double QGramJaccardSimilarity(std::string_view a, std::string_view b,
@@ -35,12 +41,17 @@ double QGramDiceSimilarity(std::string_view a, std::string_view b,
 
 /// Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in
 /// `b`. Asymmetric; use SymmetricMongeElkan for a symmetric score.
-double MongeElkanSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b);
+double MongeElkanSimilarity(std::span<const std::string_view> a,
+                            std::span<const std::string_view> b);
 
-/// max(ME(a,b), ME(b,a)) — symmetric hybrid token/char similarity used for
-/// multi-word names such as author lists.
+/// max(ME(a,b), ME(b,a)) over the word tokens of `a` and `b` — symmetric
+/// hybrid token/char similarity used for multi-word names such as author
+/// lists.
 double SymmetricMongeElkan(std::string_view a, std::string_view b);
+
+/// SymmetricMongeElkan() over already split word tokens, in text order.
+double SymmetricMongeElkan(std::span<const std::string_view> a,
+                           std::span<const std::string_view> b);
 
 }  // namespace transer
 

@@ -26,9 +26,14 @@ SimilarityRegistry::SimilarityRegistry() {
     return 1.0 - static_cast<double>(DamerauLevenshteinDistance(a, b)) /
                      static_cast<double>(longest);
   });
-  Register("word_jaccard", [](std::string_view a, std::string_view b) {
-    return WordJaccardSimilarity(a, b);
-  });
+  Register(
+      "word_jaccard",
+      [](std::string_view a, std::string_view b) {
+        return WordJaccardSimilarity(a, b);
+      },
+      [](const PreparedValue& a, const PreparedValue& b) {
+        return WordSetJaccard(a.word_set, b.word_set);
+      });
   Register("qgram_jaccard", [](std::string_view a, std::string_view b) {
     return QGramJaccardSimilarity(a, b);
   });
@@ -38,9 +43,14 @@ SimilarityRegistry::SimilarityRegistry() {
   Register("lcs", [](std::string_view a, std::string_view b) {
     return LongestCommonSubstringSimilarity(a, b);
   });
-  Register("monge_elkan", [](std::string_view a, std::string_view b) {
-    return SymmetricMongeElkan(a, b);
-  });
+  Register(
+      "monge_elkan",
+      [](std::string_view a, std::string_view b) {
+        return SymmetricMongeElkan(a, b);
+      },
+      [](const PreparedValue& a, const PreparedValue& b) {
+        return SymmetricMongeElkan(a.words, b.words);
+      });
   Register("exact", [](std::string_view a, std::string_view b) {
     return ExactSimilarity(a, b);
   });
@@ -61,33 +71,52 @@ SimilarityRegistry& SimilarityRegistry::Global() {
 }
 
 void SimilarityRegistry::Register(const std::string& name, SimilarityFn fn) {
+  PreparedSimilarityFn prepared = [fn](const PreparedValue& a,
+                                       const PreparedValue& b) {
+    return fn(a.text, b.text);
+  };
+  Register(name, std::move(fn), std::move(prepared));
+}
+
+void SimilarityRegistry::Register(const std::string& name, SimilarityFn fn,
+                                  PreparedSimilarityFn prepared) {
   for (auto& entry : entries_) {
-    if (entry.first == name) {
-      entry.second = std::move(fn);
+    if (entry.name == name) {
+      entry.fn = std::move(fn);
+      entry.prepared = std::move(prepared);
       return;
     }
   }
-  entries_.emplace_back(name, std::move(fn));
+  entries_.push_back(Entry{name, std::move(fn), std::move(prepared)});
+}
+
+const SimilarityRegistry::Entry* SimilarityRegistry::Find(
+    const std::string& name) const {
+  for (const auto& entry : entries_) {
+    if (entry.name == name) return &entry;
+  }
+  return nullptr;
 }
 
 Result<SimilarityFn> SimilarityRegistry::Lookup(const std::string& name) const {
-  for (const auto& entry : entries_) {
-    if (entry.first == name) return entry.second;
-  }
+  if (const Entry* entry = Find(name)) return entry->fn;
+  return Status::NotFound("no similarity function named '" + name + "'");
+}
+
+Result<PreparedSimilarityFn> SimilarityRegistry::LookupPrepared(
+    const std::string& name) const {
+  if (const Entry* entry = Find(name)) return entry->prepared;
   return Status::NotFound("no similarity function named '" + name + "'");
 }
 
 bool SimilarityRegistry::Contains(const std::string& name) const {
-  for (const auto& entry : entries_) {
-    if (entry.first == name) return true;
-  }
-  return false;
+  return Find(name) != nullptr;
 }
 
 std::vector<std::string> SimilarityRegistry::Names() const {
   std::vector<std::string> names;
   names.reserve(entries_.size());
-  for (const auto& entry : entries_) names.push_back(entry.first);
+  for (const auto& entry : entries_) names.push_back(entry.name);
   std::sort(names.begin(), names.end());
   return names;
 }

@@ -1,7 +1,6 @@
 #include "text/tokenize.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "util/logging.h"
 
@@ -9,19 +8,14 @@ namespace transer {
 
 std::vector<std::string> WordTokens(std::string_view text) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!current.empty()) {
-        tokens.push_back(std::move(current));
-        current.clear();
-      }
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
+  ForEachWord(text, [&](std::string_view word) { tokens.emplace_back(word); });
   return tokens;
+}
+
+std::vector<std::string_view> WordViews(std::string_view text) {
+  std::vector<std::string_view> words;
+  ForEachWord(text, [&](std::string_view word) { words.push_back(word); });
+  return words;
 }
 
 std::vector<std::string> QGrams(std::string_view text, size_t q,
@@ -52,6 +46,12 @@ std::vector<std::string> UniqueSorted(std::vector<std::string> tokens) {
   std::sort(tokens.begin(), tokens.end());
   tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
   return tokens;
+}
+
+size_t SortUniqueWords(std::span<std::string_view> words) {
+  std::sort(words.begin(), words.end());
+  return static_cast<size_t>(std::unique(words.begin(), words.end()) -
+                             words.begin());
 }
 
 }  // namespace transer

@@ -316,7 +316,7 @@ LinkageProblem OneKeyProblem(size_t per_side) {
 }
 
 TEST(BlockingBudgetTest, MinHashLshReportsMe) {
-  // 20 records x 32 signature rows x 8 bytes = 5120 bytes of signatures.
+  // 20 records x (32 signature rows + 8 band keys) x 8 bytes = 6400 bytes.
   const LinkageProblem problem = OneKeyProblem(10);
   MinHashLshBlocker blocker;
   ExecutionContext context({/*time=*/0.0, /*memory=*/1024});

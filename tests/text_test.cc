@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,79 @@ TEST(NormalizeTest, OptionsCanBeDisabled) {
   keep.collapse_whitespace = false;
   keep.trim = false;
   EXPECT_EQ(NormalizeValue("A-B  c", keep), "A-B  c");
+}
+
+// Random byte strings over the classes normalisation distinguishes:
+// letters of both cases, digits, punctuation, every whitespace byte,
+// non-ASCII bytes.
+std::vector<std::string> AssortedByteStrings(size_t count, uint64_t seed) {
+  const std::string alphabet =
+      std::string("aZq9 .,'-\t\n\v\f\r  !?\xc3\xa9\xff") + '\0';
+  Rng rng(seed);
+  std::vector<std::string> out = {"", " ", "\t\t", "...", "a", "A b"};
+  while (out.size() < count) {
+    std::string value(static_cast<size_t>(rng.NextInt(0, 12)), ' ');
+    for (char& c : value) {
+      c = alphabet[static_cast<size_t>(
+          rng.NextInt(0, static_cast<int>(alphabet.size()) - 1))];
+    }
+    out.push_back(value);
+  }
+  return out;
+}
+
+// The two-pass normaliser the single-pass NormalizeInto replaced.
+std::string TwoPassNormalize(std::string_view value,
+                             const NormalizeOptions& options) {
+  std::string out;
+  for (char raw : value) {
+    unsigned char c = static_cast<unsigned char>(raw);
+    if (options.strip_punctuation && std::ispunct(c)) {
+      out.push_back(' ');
+      continue;
+    }
+    if (options.lowercase) c = static_cast<unsigned char>(std::tolower(c));
+    out.push_back(static_cast<char>(c));
+  }
+  if (options.collapse_whitespace) {
+    std::string collapsed;
+    bool prev_space = false;
+    for (char c : out) {
+      const bool is_space = std::isspace(static_cast<unsigned char>(c)) != 0;
+      if (is_space) {
+        if (!prev_space) collapsed.push_back(' ');
+      } else {
+        collapsed.push_back(c);
+      }
+      prev_space = is_space;
+    }
+    out = std::move(collapsed);
+  }
+  if (options.trim) {
+    const size_t begin = out.find_first_not_of(' ');
+    const size_t end = out.find_last_not_of(' ');
+    out = begin == std::string::npos ? std::string()
+                                     : out.substr(begin, end - begin + 1);
+  }
+  return out;
+}
+
+TEST(NormalizeTest, MatchesTwoPassReferenceUnderEveryOptionSet) {
+  const std::vector<std::string> values = AssortedByteStrings(400, 5);
+  for (int bits = 0; bits < 16; ++bits) {
+    NormalizeOptions options;
+    options.lowercase = (bits & 1) != 0;
+    options.strip_punctuation = (bits & 2) != 0;
+    options.collapse_whitespace = (bits & 4) != 0;
+    options.trim = (bits & 8) != 0;
+    for (const std::string& value : values) {
+      const std::string expected = TwoPassNormalize(value, options);
+      ASSERT_EQ(NormalizeValue(value, options), expected) << bits;
+      std::string buffer(value.size(), '#');
+      buffer.resize(NormalizeInto(value, options, buffer.data()));
+      ASSERT_EQ(buffer, expected) << bits;
+    }
+  }
 }
 
 TEST(NormalizeTest, IsMissingDetectsBlankValues) {
@@ -190,6 +265,47 @@ TEST(SetSimilarityTest, QGramJaccardToleratesTypos) {
   const double far = QGramJaccardSimilarity("thompson", "anderson");
   EXPECT_GT(close, far);
   EXPECT_GT(close, 0.5);
+}
+
+// Monge-Elkan over copied std::string tokens, as it was computed before
+// the view-based tokens.
+double StringTokenMongeElkan(const std::vector<std::string>& a,
+                             const std::vector<std::string>& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  double total = 0.0;
+  for (const auto& ta : a) {
+    double best = 0.0;
+    for (const auto& tb : b) {
+      best = std::max(best, JaroWinklerSimilarity(ta, tb));
+    }
+    total += best;
+  }
+  return total / static_cast<double>(a.size());
+}
+
+TEST(SetSimilarityTest, WordFunctionsMatchStringTokenReference) {
+  std::vector<std::string> values = AssortedByteStrings(120, 9);
+  for (const char* words : {"the the the", "peter christen", "christen peter",
+                            "a b a b c", "b a", "smith smyth smith"}) {
+    values.push_back(words);
+  }
+  for (const std::string& a : values) {
+    for (const std::string& b : values) {
+      const auto ta = WordTokens(a);
+      const auto tb = WordTokens(b);
+      const double jaccard = JaccardSimilarity(ta, tb);
+      const double monge_elkan = std::max(StringTokenMongeElkan(ta, tb),
+                                          StringTokenMongeElkan(tb, ta));
+      const double got_jaccard = WordJaccardSimilarity(a, b);
+      const double got_monge_elkan = SymmetricMongeElkan(a, b);
+      ASSERT_EQ(std::memcmp(&got_jaccard, &jaccard, sizeof(double)), 0)
+          << "'" << a << "' vs '" << b << "'";
+      ASSERT_EQ(std::memcmp(&got_monge_elkan, &monge_elkan, sizeof(double)),
+                0)
+          << "'" << a << "' vs '" << b << "'";
+    }
+  }
 }
 
 TEST(SetSimilarityTest, MongeElkanHandlesWordReorder) {
