@@ -41,7 +41,6 @@
 #include "knn/kd_tree.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
-#include "ml/lbfgs.h"
 #include "ml/logistic_regression.h"
 #include "text/edit_distance.h"
 #include "text/jaro_winkler.h"
@@ -122,26 +121,6 @@ size_t NaiveLevenshtein(std::string_view a, std::string_view b) {
 }
 
 // ---------------------------------------------------------------------
-
-// A sorted random CSR row: nnz distinct columns out of `dims`.
-void RandomSparseRow(size_t dims, size_t nnz, Rng* rng,
-                     std::vector<uint32_t>* indices,
-                     std::vector<double>* values) {
-  indices->clear();
-  values->clear();
-  std::vector<uint32_t> cols(dims);
-  for (size_t i = 0; i < dims; ++i) cols[i] = static_cast<uint32_t>(i);
-  for (size_t i = 0; i < nnz; ++i) {
-    const size_t j = i + static_cast<size_t>(rng->NextUint64Below(dims - i));
-    std::swap(cols[i], cols[j]);
-  }
-  cols.resize(nnz);
-  std::sort(cols.begin(), cols.end());
-  for (uint32_t c : cols) {
-    indices->push_back(c);
-    values->push_back(rng->NextDouble() - 0.5);
-  }
-}
 
 Matrix RandomMatrix(size_t n, size_t dims, Rng* rng) {
   Matrix m(n, dims);
@@ -375,66 +354,9 @@ int Main(int argc, char** argv) {
     bench::DoNotOptimize(QGramJaccardSimilarity(qg_a, qg_b));
   });
 
-  // --- sparse kernels: CSR rows over a hashed 2^16 space, nnz=512 ---
-  // Workload sizes are fixed (not flag-driven) so entry names stay
-  // stable against the committed baseline.
-  const size_t sparse_dims = size_t{1} << 16;
-  const size_t sparse_nnz = 512;
-  std::vector<uint32_t> sp_ai, sp_bi;
-  std::vector<double> sp_av, sp_bv;
-  RandomSparseRow(sparse_dims, sparse_nnz, &rng, &sp_ai, &sp_av);
-  RandomSparseRow(sparse_dims, sparse_nnz, &rng, &sp_bi, &sp_bv);
-  std::vector<double> sp_dense(sparse_dims);
-  for (double& x : sp_dense) x = rng.NextDouble() - 0.5;
-  const double ops_nnz = static_cast<double>(sparse_nnz);
-
-  const double sdot_kernel =
-      harness.Run("sparse_dot.kernel.nnz512", 1,
-                  [&] {
-                    bench::DoNotOptimize(
-                        kernels::SparseDenseDot(sp_ai, sp_av, sp_dense));
-                  },
-                  ops_nnz);
-  const double sdot_scalar =
-      harness.Run("sparse_dot.scalar.nnz512", 1,
-                  [&] {
-                    bench::DoNotOptimize(
-                        kernels::ref::SparseDenseDot(sp_ai, sp_av, sp_dense));
-                  },
-                  ops_nnz);
-  harness.Run("sparse_sparse_dot.kernel", 1,
-              [&] {
-                bench::DoNotOptimize(
-                    kernels::SparseDot(sp_ai, sp_av, sp_bi, sp_bv));
-              },
-              ops_nnz);
-  harness.Run("sparse_squared_l2.kernel", 1,
-              [&] {
-                bench::DoNotOptimize(
-                    kernels::SparseSquaredL2(sp_ai, sp_av, sp_bi, sp_bv));
-              },
-              ops_nnz);
-  const double saxpy_kernel =
-      harness.Run("sparse_axpy.kernel.nnz512", 1,
-                  [&] {
-                    kernels::SparseAxpy(1e-9, sp_ai, sp_av,
-                                        std::span<double>(sp_dense));
-                    bench::DoNotOptimize(sp_dense.data());
-                  },
-                  ops_nnz);
-  const double saxpy_scalar =
-      harness.Run("sparse_axpy.scalar.nnz512", 1,
-                  [&] {
-                    kernels::ref::SparseAxpy(1e-9, sp_ai, sp_av,
-                                             std::span<double>(sp_dense));
-                    bench::DoNotOptimize(sp_dense.data());
-                  },
-                  ops_nnz);
-
-  // --- solver convergence: L-BFGS vs SGD on one small separable fit ---
-  // Fixed workload (n=256, m=16) so a regression in either solver's
-  // per-fit cost — extra passes, a broken line search — shows up as a
-  // ratio shift against the baseline.
+  // --- solver: one dense logistic-regression fit ---
+  // Fixed workload (n=256, m=16) so a regression in the per-fit cost of
+  // the SGD loop shows up against the baseline.
   const size_t fit_n = 256, fit_m = 16;
   Matrix fit_x(fit_n, fit_m);
   std::vector<int> fit_y(fit_n);
@@ -447,16 +369,8 @@ int Main(int argc, char** argv) {
   }
   LogisticRegressionOptions sgd_opts;
   sgd_opts.epochs = 50;
-  LogisticRegressionOptions lbfgs_opts;
-  lbfgs_opts.solver = LinearSolver::kLbfgs;
-  lbfgs_opts.lbfgs_max_iterations = 50;
-  const double fit_sgd = harness.Run("solver.sgd_fit.n256", 1, [&] {
+  harness.Run("solver.sgd_fit.n256", 1, [&] {
     LogisticRegression model(sgd_opts);
-    model.Fit(fit_x, fit_y);
-    bench::DoNotOptimize(model.coefficients().data());
-  });
-  const double fit_lbfgs = harness.Run("solver.lbfgs_fit.n256", 1, [&] {
-    LogisticRegression model(lbfgs_opts);
     model.Fit(fit_x, fit_y);
     bench::DoNotOptimize(model.coefficients().data());
   });
@@ -470,9 +384,6 @@ int Main(int argc, char** argv) {
   harness.Extra("knn_batch_speedup_vs_1_thread",
                 bench::ThreadScalingSpeedup(batch_1t, batch_nt, lanes));
   harness.Extra("levenshtein_speedup_vs_naive", lev_naive / lev_banded);
-  harness.Extra("sparse_dot_speedup_vs_scalar", sdot_scalar / sdot_kernel);
-  harness.Extra("sparse_axpy_speedup_vs_scalar", saxpy_scalar / saxpy_kernel);
-  harness.Extra("lbfgs_fit_speedup_vs_sgd", fit_sgd / fit_lbfgs);
 
   // The build identity, not a measurement: perf_compare refuses to diff
   // sidecars timed on different kernel branches.

@@ -49,8 +49,8 @@ int Main(int argc, char** argv) {
   const Flags flags(argc, argv,
                            {"scale", "seed", "time-limit",
                             "memory-limit-mb", "checkpoint", "threads",
-                            "warm-start", "sparse", "knn-backend",
-                            "recall", "ef-search"});
+                            "warm-start", "knn-backend", "recall",
+                            "ef-search"});
   const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("table2", threads);
   ScenarioScale scale;
@@ -61,9 +61,6 @@ int Main(int argc, char** argv) {
       flags.GetMemoryLimitBytes("memory-limit-mb", 64)};
   TransferRunOptions run_options;
   run_options.seed = scale.seed;
-  // --sparse=true trains the linear classifiers of the suite through the
-  // CSR feature path (others fall back dense with a diagnostics event).
-  run_options.sparse_features = flags.GetBool("sparse", false);
   // --knn-backend=ann runs SEL's neighbourhood scans on the navigable
   // graph; quality columns should stay within 0.5 F1 points of exact.
   const std::string knn_backend = flags.GetString("knn-backend", "kd_tree");

@@ -44,8 +44,8 @@ int Main(int argc, char** argv) {
   const Flags flags(argc, argv,
                            {"scale", "seed", "time-limit",
                             "memory-limit-mb", "checkpoint", "threads",
-                            "skip-speedup", "warm-start", "sparse",
-                            "knn-backend", "recall", "ef-search"});
+                            "skip-speedup", "warm-start", "knn-backend",
+                            "recall", "ef-search"});
   const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("table3", threads);
   ScenarioScale scale;
@@ -56,9 +56,6 @@ int Main(int argc, char** argv) {
       flags.GetMemoryLimitBytes("memory-limit-mb", 64)};
   TransferRunOptions run_options;
   run_options.seed = scale.seed;
-  // --sparse=true trains the linear classifiers of the suite through the
-  // CSR feature path (others fall back dense with a diagnostics event).
-  run_options.sparse_features = flags.GetBool("sparse", false);
   // --knn-backend=ann times SEL on the navigable graph instead of the
   // exact KD-tree — the headline runtime win at paper-scale inputs.
   const std::string knn_backend = flags.GetString("knn-backend", "kd_tree");

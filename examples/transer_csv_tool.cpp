@@ -8,7 +8,7 @@
 //       [--tc=0.9] [--tl=0.9] [--tp=0.99] [--k=7] [--b=3]
 //       [--on-error=strict|skip|repair]
 //       [--time-limit-s=<seconds>] [--memory-limit-mb=<MB>]
-//       [--threads=<N>] [--sparse]
+//       [--threads=<N>]
 //       [--knn-backend=kdtree|brute|ann] [--recall=0.95] [--ef-search=N]
 //       [--save-model=model.tera] [--load-model=model.tera]
 //       [--help] [--version]
@@ -18,12 +18,6 @@
 // approximate index, answering within --recall of the true top-k in
 // sub-linear time (--recall=1.0 falls back to exact with a diagnostics
 // event; --ef-search overrides the derived beam width).
-//
-// --sparse trains through the sparse feature path: instance rows are
-// held as CSR (zeros dropped), the classifier — restricted to lr or svm,
-// the families with a sparse fit — uses the second-order L-BFGS solver,
-// and snapshots store culled sparse weights. Decisions agree with the
-// dense path within solver tolerance.
 //
 // --threads sets the worker-lane count for the parallel hot paths
 // (pair comparison, kNN, ensemble training); 0 or absent means the
@@ -93,32 +87,7 @@ void RequireUnitInterval(const std::string& name, double value) {
   }
 }
 
-ClassifierFactory MakeFactory(const std::string& name, bool sparse) {
-  if (sparse) {
-    // The sparse feature path needs a classifier with a sparse fit; the
-    // linear families get the L-BFGS solver (few passes instead of
-    // hundreds of epochs) and culled sparse snapshot weights.
-    if (name == "lr") {
-      return []() -> std::unique_ptr<Classifier> {
-        LogisticRegressionOptions options;
-        options.solver = LinearSolver::kLbfgs;
-        options.save_cull_epsilon = 1e-8;
-        return std::make_unique<LogisticRegression>(options);
-      };
-    }
-    if (name == "svm") {
-      return []() -> std::unique_ptr<Classifier> {
-        LinearSvmOptions options;
-        options.solver = LinearSolver::kLbfgs;
-        options.save_cull_epsilon = 1e-8;
-        return std::make_unique<LinearSvm>(options);
-      };
-    }
-    std::fprintf(stderr,
-                 "--sparse requires --classifier=lr or svm (got '%s')\n",
-                 name.c_str());
-    std::exit(2);
-  }
+ClassifierFactory MakeFactory(const std::string& name) {
   if (name == "rf") {
     return []() -> std::unique_ptr<Classifier> {
       return std::make_unique<RandomForest>();
@@ -178,7 +147,7 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "    [--tc=0.9] [--tl=0.9] [--tp=0.99] [--k=7] [--b=3]\n"
       "    [--on-error=strict|skip|repair]\n"
       "    [--time-limit-s=<seconds>] [--memory-limit-mb=<MB>]\n"
-      "    [--threads=<N>] [--sparse]\n"
+      "    [--threads=<N>]\n"
       "    [--knn-backend=kdtree|brute|ann] [--recall=0.95]\n"
       "    [--ef-search=N]\n"
       "    [--save-model=model.tera] [--load-model=model.tera]\n"
@@ -189,10 +158,6 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "answering within --recall of the true top-k in sub-linear time.\n"
       "--recall=1.0 falls back to an exact index; --ef-search overrides\n"
       "the beam width derived from --recall.\n"
-      "\n"
-      "--sparse trains through the CSR sparse feature path with the\n"
-      "L-BFGS solver and culled sparse snapshot weights; requires\n"
-      "--classifier=lr (the default under --sparse) or svm.\n"
       "\n"
       "--threads sets the worker-lane count for the parallel hot paths;\n"
       "0 (the default) uses the hardware width. Predictions are\n"
@@ -251,7 +216,7 @@ int Main(int argc, char** argv) {
   const Flags flags(
       argc, argv,
       {"source", "target", "out", "classifier", "tc", "tl", "tp", "k", "b",
-       "on-error", "time-limit-s", "memory-limit-mb", "threads", "sparse",
+       "on-error", "time-limit-s", "memory-limit-mb", "threads",
        "knn-backend", "recall", "ef-search", "save-model", "load-model",
        "help", "version"});
   if (flags.GetBool("help", false)) {
@@ -296,15 +261,13 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "--b=%g is invalid: must be > 0\n", options.b);
     return 2;
   }
-  const bool sparse = flags.GetBool("sparse", false);
-  const ClassifierFactory factory = MakeFactory(
-      flags.GetString("classifier", sparse ? "lr" : "rf"), sparse);
+  const ClassifierFactory factory =
+      MakeFactory(flags.GetString("classifier", "rf"));
 
   const ExecutionLimits limits{
       flags.GetTimeLimitSeconds("time-limit-s", 0.0),
       flags.GetMemoryLimitBytes("memory-limit-mb", 0)};
   TransferRunOptions run_options;
-  run_options.sparse_features = sparse;
   // run_options.num_threads stays 0: the process default set here.
   ConfigureThreads(flags);
 

@@ -37,11 +37,12 @@
 //                              near-zero deadlines; prints "SOAK <json>".
 //                              --swap-src/--swap-dst atomically replace
 //                              the artifact at DST with SRC mid-soak
-//                              (e.g. a dense model with its sparse-culled
-//                              retrain) so the repository hot-swap is
-//                              exercised under live traffic; the soak
-//                              still demands zero lost well-formed
-//                              requests across the swap
+//                              (e.g. a random-forest model with a
+//                              logistic-regression retrain) so the
+//                              repository hot-swap is exercised under
+//                              live traffic; the soak still demands
+//                              zero lost well-formed requests across
+//                              the swap
 //
 // --help prints the usage, --version the build identity.
 //

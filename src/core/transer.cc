@@ -357,9 +357,8 @@ Status GeneratePseudoLabels(const AlgorithmRun& run,
   run.context.BeginStage("gen");
   state->classifier_u = run.make_classifier();
   state->classifier_u->set_execution_context(&run.context);
-  FitClassifierWithRunOptions(state->classifier_u.get(), transferred,
-                              transfer_internal::RequireLabels(transferred),
-                              /*weights=*/{}, run.run_options);
+  state->classifier_u->Fit(transferred.ToMatrix(),
+                           transfer_internal::RequireLabels(transferred));
   // An interrupted Fit stops early with a partial model; surface the
   // TE / cancellation status rather than predict from it.
   TRANSER_RETURN_IF_ERROR(run.CheckBudget());
@@ -433,8 +432,7 @@ Result<std::unique_ptr<Classifier>> TrainTargetClassifier(
 
   std::unique_ptr<Classifier> classifier = run.make_classifier();
   classifier->set_execution_context(&run.context);
-  FitClassifierWithRunOptions(classifier.get(), x_vb, x_vb.labels(),
-                              /*weights=*/{}, run.run_options);
+  classifier->Fit(x_vb.ToMatrix(), x_vb.labels());
   TRANSER_RETURN_IF_ERROR(run.CheckBudget());
   report.tcl_trained = true;
   return classifier;

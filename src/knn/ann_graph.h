@@ -19,7 +19,7 @@ namespace transer {
 /// graph [Malkov & Yashunin 2018] — the sub-linear candidate search
 /// that keeps SEL viable at millions of instances.
 ///
-/// Determinism contract (DESIGN.md §14): the graph is a pure function
+/// Determinism contract (DESIGN.md §13): the graph is a pure function
 /// of (points, options, seed) at any lane count. Levels come from a
 /// SplitMix64 hash of (seed, row index) — never from a shared RNG
 /// stream — and every candidate set is ordered by the canonical

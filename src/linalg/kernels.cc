@@ -527,113 +527,6 @@ void SquaredL2Gather(std::span<const double> query, double query_norm,
   }
 }
 
-double SparseDenseDot(std::span<const uint32_t> indices,
-                      std::span<const double> values,
-                      std::span<const double> dense) {
-  TRANSER_CHECK_EQ(indices.size(), values.size());
-  const uint32_t* ip = indices.data();
-  const double* vp = values.data();
-  const double* dp = dense.data();
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  size_t k = 0;
-  const size_t n = indices.size();
-  const size_t n4 = n & ~size_t{3};
-  for (; k < n4; k += 4) {
-    acc0 += vp[k] * dp[ip[k]];
-    acc1 += vp[k + 1] * dp[ip[k + 1]];
-    acc2 += vp[k + 2] * dp[ip[k + 2]];
-    acc3 += vp[k + 3] * dp[ip[k + 3]];
-  }
-  if (k < n) acc0 += vp[k] * dp[ip[k]];
-  if (k + 1 < n) acc1 += vp[k + 1] * dp[ip[k + 1]];
-  if (k + 2 < n) acc2 += vp[k + 2] * dp[ip[k + 2]];
-  return Combine4(acc0, acc1, acc2, acc3);
-}
-
-double SparseDot(std::span<const uint32_t> a_indices,
-                 std::span<const double> a_values,
-                 std::span<const uint32_t> b_indices,
-                 std::span<const double> b_values) {
-  TRANSER_CHECK_EQ(a_indices.size(), a_values.size());
-  TRANSER_CHECK_EQ(b_indices.size(), b_values.size());
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  size_t ia = 0, ib = 0, t = 0;
-  while (ia < a_indices.size() && ib < b_indices.size()) {
-    const uint32_t ca = a_indices[ia];
-    const uint32_t cb = b_indices[ib];
-    if (ca < cb) {
-      ++ia;
-    } else if (cb < ca) {
-      ++ib;
-    } else {
-      const double term = a_values[ia] * b_values[ib];
-      switch (t & 3) {
-        case 0: acc0 += term; break;
-        case 1: acc1 += term; break;
-        case 2: acc2 += term; break;
-        default: acc3 += term; break;
-      }
-      ++t;
-      ++ia;
-      ++ib;
-    }
-  }
-  return Combine4(acc0, acc1, acc2, acc3);
-}
-
-void SparseAxpy(double s, std::span<const uint32_t> indices,
-                std::span<const double> values, std::span<double> y) {
-  TRANSER_CHECK_EQ(indices.size(), values.size());
-  const uint32_t* ip = indices.data();
-  const double* vp = values.data();
-  double* yp = y.data();
-  size_t k = 0;
-  const size_t n = indices.size();
-  const size_t n4 = n & ~size_t{3};
-  for (; k < n4; k += 4) {
-    yp[ip[k]] += s * vp[k];
-    yp[ip[k + 1]] += s * vp[k + 1];
-    yp[ip[k + 2]] += s * vp[k + 2];
-    yp[ip[k + 3]] += s * vp[k + 3];
-  }
-  for (; k < n; ++k) yp[ip[k]] += s * vp[k];
-}
-
-double SparseSquaredL2(std::span<const uint32_t> a_indices,
-                       std::span<const double> a_values,
-                       std::span<const uint32_t> b_indices,
-                       std::span<const double> b_values) {
-  TRANSER_CHECK_EQ(a_indices.size(), a_values.size());
-  TRANSER_CHECK_EQ(b_indices.size(), b_values.size());
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  size_t ia = 0, ib = 0, t = 0;
-  const auto emit = [&](double d) {
-    const double term = d * d;
-    switch (t & 3) {
-      case 0: acc0 += term; break;
-      case 1: acc1 += term; break;
-      case 2: acc2 += term; break;
-      default: acc3 += term; break;
-    }
-    ++t;
-  };
-  while (ia < a_indices.size() || ib < b_indices.size()) {
-    if (ib >= b_indices.size() ||
-        (ia < a_indices.size() && a_indices[ia] < b_indices[ib])) {
-      emit(a_values[ia]);
-      ++ia;
-    } else if (ia >= a_indices.size() || b_indices[ib] < a_indices[ia]) {
-      emit(-b_values[ib]);
-      ++ib;
-    } else {
-      emit(a_values[ia] - b_values[ib]);
-      ++ia;
-      ++ib;
-    }
-  }
-  return Combine4(acc0, acc1, acc2, acc3);
-}
-
 namespace ref {
 
 double Dot(std::span<const double> a, std::span<const double> b) {
@@ -687,76 +580,6 @@ void PairwiseSquaredL2(const double* a, size_t a_rows, const double* a_norms,
       out[i * b_rows + j] = d < 0.0 ? 0.0 : d;
     }
   }
-}
-
-double SparseDenseDot(std::span<const uint32_t> indices,
-                      std::span<const double> values,
-                      std::span<const double> dense) {
-  TRANSER_CHECK_EQ(indices.size(), values.size());
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t k = 0; k < indices.size(); ++k) {
-    acc[k % 4] += values[k] * dense[indices[k]];
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-double SparseDot(std::span<const uint32_t> a_indices,
-                 std::span<const double> a_values,
-                 std::span<const uint32_t> b_indices,
-                 std::span<const double> b_values) {
-  TRANSER_CHECK_EQ(a_indices.size(), a_values.size());
-  TRANSER_CHECK_EQ(b_indices.size(), b_values.size());
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t ia = 0, ib = 0, t = 0;
-  while (ia < a_indices.size() && ib < b_indices.size()) {
-    if (a_indices[ia] < b_indices[ib]) {
-      ++ia;
-    } else if (b_indices[ib] < a_indices[ia]) {
-      ++ib;
-    } else {
-      acc[t % 4] += a_values[ia] * b_values[ib];
-      ++t;
-      ++ia;
-      ++ib;
-    }
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-void SparseAxpy(double s, std::span<const uint32_t> indices,
-                std::span<const double> values, std::span<double> y) {
-  TRANSER_CHECK_EQ(indices.size(), values.size());
-  for (size_t k = 0; k < indices.size(); ++k) {
-    y[indices[k]] += s * values[k];
-  }
-}
-
-double SparseSquaredL2(std::span<const uint32_t> a_indices,
-                       std::span<const double> a_values,
-                       std::span<const uint32_t> b_indices,
-                       std::span<const double> b_values) {
-  TRANSER_CHECK_EQ(a_indices.size(), a_values.size());
-  TRANSER_CHECK_EQ(b_indices.size(), b_values.size());
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t ia = 0, ib = 0, t = 0;
-  while (ia < a_indices.size() || ib < b_indices.size()) {
-    double d = 0.0;
-    if (ib >= b_indices.size() ||
-        (ia < a_indices.size() && a_indices[ia] < b_indices[ib])) {
-      d = a_values[ia];
-      ++ia;
-    } else if (ia >= a_indices.size() || b_indices[ib] < a_indices[ia]) {
-      d = -b_values[ib];
-      ++ib;
-    } else {
-      d = a_values[ia] - b_values[ib];
-      ++ia;
-      ++ib;
-    }
-    acc[t % 4] += d * d;
-    ++t;
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
 }  // namespace ref
@@ -857,64 +680,6 @@ Status SelfCheck() {
             "tiled PairwiseSquaredL2 diverges from reference at "
             "%zux%zu d=%zu entry %zu",
             a_rows, b_rows, dims, i));
-      }
-    }
-  }
-
-  // Sparse battery. For each size: a *full* CSR row (every column
-  // stored) must reproduce the dense kernels bit for bit — the
-  // cross-representation contract — and deterministically culled rows
-  // must match the scalar references over the merge walks.
-  for (size_t n = 0; n <= 67; ++n) {
-    FillDeterministic(xs.data(), n, 3000 + n);
-    FillDeterministic(ys.data(), n, 4000 + n);
-    const std::span<const double> a(xs.data(), n);
-    const std::span<const double> b(ys.data(), n);
-    std::vector<uint32_t> full_idx(n);
-    for (size_t i = 0; i < n; ++i) full_idx[i] = static_cast<uint32_t>(i);
-    std::vector<uint32_t> a_idx, b_idx;
-    std::vector<double> a_val, b_val;
-    for (size_t i = 0; i < n; ++i) {
-      // Keep ~2/3 of the entries of each side, on disjoint-ish patterns.
-      if ((i * 2654435761u + n) % 3 != 0) {
-        a_idx.push_back(static_cast<uint32_t>(i));
-        a_val.push_back(xs[i]);
-      }
-      if ((i * 40503u + n) % 3 != 1) {
-        b_idx.push_back(static_cast<uint32_t>(i));
-        b_val.push_back(ys[i]);
-      }
-    }
-
-    if (!BitsEqual(SparseDenseDot(full_idx, a, b), Dot(a, b)) ||
-        !BitsEqual(SparseDenseDot(a_idx, a_val, b),
-                   ref::SparseDenseDot(a_idx, a_val, b))) {
-      return Status::InvalidArgument(StrFormat(
-          "kernel SparseDenseDot diverges from reference at n=%zu", n));
-    }
-    if (!BitsEqual(SparseDot(full_idx, a, full_idx, b),
-                   ref::SparseDot(full_idx, a, full_idx, b)) ||
-        !BitsEqual(SparseDot(a_idx, a_val, b_idx, b_val),
-                   ref::SparseDot(a_idx, a_val, b_idx, b_val))) {
-      return Status::InvalidArgument(
-          StrFormat("kernel SparseDot diverges from reference at n=%zu", n));
-    }
-    if (!BitsEqual(SparseSquaredL2(full_idx, a, full_idx, b),
-                   SquaredL2(a, b)) ||
-        !BitsEqual(SparseSquaredL2(a_idx, a_val, b_idx, b_val),
-                   ref::SparseSquaredL2(a_idx, a_val, b_idx, b_val))) {
-      return Status::InvalidArgument(StrFormat(
-          "kernel SparseSquaredL2 diverges from reference at n=%zu", n));
-    }
-    scratch_a.assign(ys.begin(), ys.end());
-    scratch_b.assign(ys.begin(), ys.end());
-    SparseAxpy(0.37, a_idx, a_val, std::span<double>(scratch_a.data(), n));
-    ref::SparseAxpy(0.37, a_idx, a_val,
-                    std::span<double>(scratch_b.data(), n));
-    for (size_t i = 0; i < n; ++i) {
-      if (!BitsEqual(scratch_a[i], scratch_b[i])) {
-        return Status::InvalidArgument(StrFormat(
-            "kernel SparseAxpy diverges from reference at n=%zu", n));
       }
     }
   }

@@ -2,7 +2,6 @@
 #define TRANSER_LINALG_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 #include "util/status.h"
@@ -92,49 +91,6 @@ void SquaredL2Gather(std::span<const double> query, double query_norm,
                      std::span<const size_t> rows, const double* norms,
                      double* out);
 
-// ---------------------------------------------------------------------
-// Sparse kernels
-// ---------------------------------------------------------------------
-//
-// A sparse row is an (indices, values) pair of equal length with
-// *strictly increasing* column indices — the CSR row contract enforced
-// by SparseFeatureMatrix::Validate. The determinism contract mirrors
-// the dense kernels: every reduction feeds term t of its emitted term
-// sequence into accumulator t mod 4, combined as (acc0+acc1)+(acc2+acc3).
-// For SparseDenseDot the term sequence is the stored-order nonzeros, so
-// a CSR row that enumerates every column reproduces Dot() bit for bit;
-// for the sparse·sparse kernels it is the ascending-column merge walk.
-// All sparse kernels are non-allocating.
-
-/// Sparse·dense row product: sum(values[k] * dense[indices[k]]), terms
-/// in stored order on four interleaved lanes. Bit-identical to
-/// Dot(row, dense) when the sparse row enumerates every column.
-double SparseDenseDot(std::span<const uint32_t> indices,
-                      std::span<const double> values,
-                      std::span<const double> dense);
-
-/// Sparse·sparse dot product over the ascending-column merge walk of the
-/// two rows; matched columns emit terms in merge order on four lanes.
-double SparseDot(std::span<const uint32_t> a_indices,
-                 std::span<const double> a_values,
-                 std::span<const uint32_t> b_indices,
-                 std::span<const double> b_values);
-
-/// y[indices[k]] += s * values[k]. Per-element result is independent of
-/// the unroll (indices are strictly increasing, so no element is touched
-/// twice); bit-identical to Axpy on a full row.
-void SparseAxpy(double s, std::span<const uint32_t> indices,
-                std::span<const double> values, std::span<double> y);
-
-/// Sum of squared differences between two sparse rows: the merge walk
-/// emits (a-b)^2 on matched columns and a^2 / b^2 on unmatched ones, in
-/// ascending column order on four lanes. Bit-identical to SquaredL2 when
-/// both rows enumerate every column.
-double SparseSquaredL2(std::span<const uint32_t> a_indices,
-                       std::span<const double> a_values,
-                       std::span<const uint32_t> b_indices,
-                       std::span<const double> b_values);
-
 /// True when this build compiled the explicit AVX2 kernel bodies (a
 /// target with AVX2, e.g. TRANSER_NATIVE_ARCH=ON on modern x86); false
 /// for the portable 4-lane bodies. Both return the same bits, but not
@@ -168,19 +124,6 @@ void AddInPlace(std::span<double> a, std::span<const double> b);
 void PairwiseSquaredL2(const double* a, size_t a_rows, const double* a_norms,
                        const double* b, size_t b_rows, const double* b_norms,
                        size_t dims, double* out);
-double SparseDenseDot(std::span<const uint32_t> indices,
-                      std::span<const double> values,
-                      std::span<const double> dense);
-double SparseDot(std::span<const uint32_t> a_indices,
-                 std::span<const double> a_values,
-                 std::span<const uint32_t> b_indices,
-                 std::span<const double> b_values);
-void SparseAxpy(double s, std::span<const uint32_t> indices,
-                std::span<const double> values, std::span<double> y);
-double SparseSquaredL2(std::span<const uint32_t> a_indices,
-                       std::span<const double> a_values,
-                       std::span<const uint32_t> b_indices,
-                       std::span<const double> b_values);
 
 }  // namespace ref
 

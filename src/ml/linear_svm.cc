@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "linalg/kernels.h"
-#include "ml/sparse_weights.h"
 #include "util/artifact_io.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -22,57 +21,19 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
-/// Squared hinge: loss = 0.5*sw*max(0, 1 - y*margin)^2, smooth enough
-/// for a quasi-Newton solver (the plain hinge is not differentiable at
-/// the margin boundary, which stalls L-BFGS line searches).
-double SquaredHingeLoss(double margin, int label, double sample_w,
-                        double* dmargin) {
-  const double y = label == 1 ? 1.0 : -1.0;
-  const double violation = 1.0 - y * margin;
-  if (violation <= 0.0) {
-    *dmargin = 0.0;
-    return 0.0;
-  }
-  *dmargin = -sample_w * y * violation;
-  return 0.5 * sample_w * violation * violation;
-}
-
-/// Below this the deferred Pegasos scale risks underflow; fold it into
-/// the accumulator and reset.
-constexpr double kMinDeferredScale = 1e-100;
-
 }  // namespace
 
 void LinearSvm::Fit(const Matrix& x, const std::vector<int>& y,
                     const std::vector<double>& weights) {
-  FitView(FeatureView(x), y, weights);
-}
-
-void LinearSvm::FitView(const FeatureView& x, const std::vector<int>& y,
-                        const std::vector<double>& weights) {
   TRANSER_CHECK_EQ(x.rows(), y.size());
   TRANSER_CHECK(weights.empty() || weights.size() == y.size());
-  weights_.assign(x.cols(), 0.0);
+  const size_t n = x.rows();
+  const size_t m = x.cols();
+  weights_.assign(m, 0.0);
   bias_ = 0.0;
   platt_a_ = 1.0;
   platt_b_ = 0.0;
-  if (x.rows() == 0) return;
-
-  if (options_.solver == LinearSolver::kLbfgs) {
-    FitLbfgs(x, y, weights);
-  } else if (x.sparse()) {
-    FitSgdSparse(x.sparse_matrix(), y, weights);
-  } else {
-    FitSgdDense(x.dense_matrix(), y, weights);
-  }
-  if (FitInterrupted()) return;  // caller surfaces the status via Check
-  FitPlatt(x, y);
-}
-
-void LinearSvm::FitSgdDense(const Matrix& x, const std::vector<int>& y,
-                            const std::vector<double>& weights) {
-  const size_t n = x.rows();
-  const size_t m = x.cols();
+  if (n == 0) return;
 
   Rng rng(options_.seed);
   std::vector<size_t> order(n);
@@ -104,91 +65,8 @@ void LinearSvm::FitSgdDense(const Matrix& x, const std::vector<int>& y,
       }
     }
   }
-}
-
-void LinearSvm::FitSgdSparse(const SparseFeatureMatrix& x,
-                             const std::vector<int>& y,
-                             const std::vector<double>& weights) {
-  const size_t n = x.size();
-
-  Rng rng(options_.seed);
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-
-  // Deferred-scaling Pegasos: w = scale * v. The per-sample shrink is a
-  // multiply on `scale`; the violation update touches only the row's
-  // nonzeros, so one step costs O(nnz) instead of O(2^20).
-  std::vector<double> v(x.num_features(), 0.0);
-  double scale = 1.0;
-
-  size_t t = 0;
-  const double t0 = static_cast<double>(n);
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    if (FitInterrupted()) break;
-    rng.Shuffle(&order);
-    for (size_t i : order) {
-      ++t;
-      const double eta =
-          1.0 / (options_.lambda * (static_cast<double>(t) + t0));
-      const SparseFeatureMatrix::RowView row = x.Row(i);
-      const double label = y[i] == 1 ? 1.0 : -1.0;
-      const double margin =
-          bias_ + scale * kernels::SparseDenseDot(row.indices, row.values, v);
-      const double sample_w = weights.empty() ? 1.0 : weights[i];
-
-      // eta * lambda = 1/(t + t0) < 1, so the scale stays positive.
-      scale *= 1.0 - eta * options_.lambda;
-      if (scale < kMinDeferredScale) {
-        kernels::ScaleInPlace(v, scale);
-        scale = 1.0;
-      }
-      if (label * margin < 1.0) {
-        const double step = eta * label * sample_w;
-        kernels::SparseAxpy(step / scale, row.indices, row.values,
-                            std::span<double>(v.data(), v.size()));
-        bias_ += step;
-      }
-    }
-  }
-  kernels::ScaleInPlace(v, scale);
-  weights_ = std::move(v);
-}
-
-void LinearSvm::FitLbfgs(const FeatureView& x, const std::vector<int>& y,
-                         const std::vector<double>& weights) {
-  const size_t m = x.cols();
-  const ExecutionContext& context = execution_context() != nullptr
-                                        ? *execution_context()
-                                        : ExecutionContext::Unlimited();
-
-  // Bias rides as the last coordinate; L2 applies to the first m only.
-  std::vector<double> params(m + 1, 0.0);
-  const double lambda = options_.lambda;
-  auto objective = [&](std::span<const double> p,
-                       std::span<double> g) -> Result<double> {
-    double grad_bias = 0.0;
-    auto loss = WeightedLinearLossGrad(x, y, weights, p.first(m), p[m],
-                                       &SquaredHingeLoss, g.first(m),
-                                       &grad_bias, context,
-                                       /*num_threads=*/0);
-    TRANSER_RETURN_IF_ERROR(loss.status());
-    g[m] = grad_bias;
-    double value = loss.value();
-    for (size_t j = 0; j < m; ++j) {
-      value += 0.5 * lambda * p[j] * p[j];
-      g[j] += lambda * p[j];
-    }
-    return value;
-  };
-
-  LbfgsOptions lbfgs;
-  lbfgs.max_iterations = options_.lbfgs_max_iterations;
-  lbfgs.tolerance = options_.lbfgs_tolerance;
-  MinimizeLbfgs(lbfgs, execution_context(),
-                std::span<double>(params.data(), params.size()), objective);
-  std::copy(params.begin(), params.begin() + static_cast<ptrdiff_t>(m),
-            weights_.begin());
-  bias_ = params[m];
+  if (FitInterrupted()) return;  // caller surfaces the status via Check
+  FitPlatt(x, y);
 }
 
 double LinearSvm::DecisionFunction(std::span<const double> features) const {
@@ -196,24 +74,12 @@ double LinearSvm::DecisionFunction(std::span<const double> features) const {
   return bias_ + kernels::Dot(weights_, features);
 }
 
-double LinearSvm::DecisionFunctionSparse(
-    const SparseFeatureMatrix::RowView& row) const {
-  TRANSER_CHECK(row.indices.empty() || row.indices.back() < weights_.size());
-  return bias_ + kernels::SparseDenseDot(row.indices, row.values, weights_);
-}
-
-void LinearSvm::FitPlatt(const FeatureView& x, const std::vector<int>& y) {
+void LinearSvm::FitPlatt(const Matrix& x, const std::vector<int>& y) {
   const size_t n = x.rows();
   std::vector<double> margins(n);
   for (size_t i = 0; i < n; ++i) {
-    margins[i] = bias_ + x.RowDot(i, weights_);
+    margins[i] = DecisionFunction(std::span<const double>(x.Row(i), x.cols()));
   }
-  FitPlattOnMargins(margins, y);
-}
-
-void LinearSvm::FitPlattOnMargins(const std::vector<double>& margins,
-                                  const std::vector<int>& y) {
-  const size_t n = margins.size();
   // Newton iterations on the 2-parameter log-likelihood; separable
   // margins drive the slope high enough that core instances reach the
   // extreme confidences TransER's t_p threshold expects.
@@ -254,16 +120,11 @@ double LinearSvm::PredictProba(std::span<const double> features) const {
   return Sigmoid(platt_a_ * DecisionFunction(features) + platt_b_);
 }
 
-double LinearSvm::PredictProbaSparse(
-    const SparseFeatureMatrix::RowView& row) const {
-  return Sigmoid(platt_a_ * DecisionFunctionSparse(row) + platt_b_);
-}
-
 Status LinearSvm::SaveState(artifact::Encoder* out) const {
   out->PutDouble(options_.lambda);
   out->PutI64(options_.epochs);
   out->PutU64(options_.seed);
-  EncodeWeightVector(out, weights_, options_.save_cull_epsilon);
+  out->PutDoubleVec(weights_);
   out->PutDouble(bias_);
   out->PutDouble(platt_a_);
   out->PutDouble(platt_b_);
@@ -280,7 +141,7 @@ Status LinearSvm::LoadState(artifact::Decoder* in) {
   TRANSER_RETURN_IF_ERROR(in->GetDouble(&options.lambda));
   TRANSER_RETURN_IF_ERROR(in->GetI64(&epochs));
   TRANSER_RETURN_IF_ERROR(in->GetU64(&options.seed));
-  TRANSER_RETURN_IF_ERROR(DecodeWeightVector(in, &weights));
+  TRANSER_RETURN_IF_ERROR(in->GetDoubleVec(&weights));
   TRANSER_RETURN_IF_ERROR(in->GetDouble(&bias));
   TRANSER_RETURN_IF_ERROR(in->GetDouble(&platt_a));
   TRANSER_RETURN_IF_ERROR(in->GetDouble(&platt_b));

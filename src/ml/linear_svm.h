@@ -5,38 +5,20 @@
 #include <string>
 #include <vector>
 
-#include "features/sparse_matrix.h"
 #include "ml/classifier.h"
-#include "ml/feature_view.h"
-#include "ml/lbfgs.h"
 
 namespace transer {
 
 /// \brief Hyper-parameters for the linear SVM.
 struct LinearSvmOptions {
-  double lambda = 1e-3;  ///< regularisation strength (Pegasos / L-BFGS)
+  double lambda = 1e-3;  ///< regularisation strength (Pegasos)
   int epochs = 200;
   uint64_t seed = 2;
-  /// kSgd is the historical Pegasos path — the bit-identity reference on
-  /// dense inputs. kLbfgs minimises the squared-hinge objective with the
-  /// second-order solver (ml/lbfgs.h): the right choice for
-  /// high-dimensional sparse problems, which converge in a few passes
-  /// instead of hundreds of epochs.
-  LinearSolver solver = LinearSolver::kSgd;
-  int lbfgs_max_iterations = 100;
-  double lbfgs_tolerance = 1e-7;
-  /// Weight-culling threshold of SaveState: negative keeps the
-  /// historical dense layout (byte-identical artifacts); >= 0 stores
-  /// only |w| >= epsilon as sparse (index, value) pairs
-  /// (ml/sparse_weights.h). Loading reconstructs the dense vector, so
-  /// serving and warm-start are unaffected.
-  double save_cull_epsilon = -1.0;
 };
 
 /// \brief Linear SVM trained with the Pegasos stochastic sub-gradient
-/// solver (or L-BFGS on the squared hinge — see LinearSvmOptions::solver),
-/// with Platt scaling (a sigmoid over the margin, fit by a few
-/// Newton-free gradient steps) so PredictProba is a usable confidence —
+/// solver, with Platt scaling (a sigmoid over the margin, fit by a few
+/// Newton steps) so PredictProba is a usable confidence —
 /// required by the GEN phase's pseudo-label scores.
 class LinearSvm : public Classifier {
  public:
@@ -46,15 +28,7 @@ class LinearSvm : public Classifier {
            const std::vector<double>& weights) override;
   using Classifier::Fit;
 
-  /// Representation-agnostic Fit: dense Matrix rows and CSR rows train
-  /// through the same solver; a dense matrix and its full CSR view
-  /// produce bit-identical weights (see ml/feature_view.h).
-  void FitView(const FeatureView& x, const std::vector<int>& y,
-               const std::vector<double>& weights);
-
   double PredictProba(std::span<const double> features) const override;
-  /// P(match) for one CSR row over the trained (dense) weights.
-  double PredictProbaSparse(const SparseFeatureMatrix::RowView& row) const;
 
   std::string name() const override { return "linear_svm"; }
 
@@ -63,26 +37,13 @@ class LinearSvm : public Classifier {
 
   /// Raw (uncalibrated) margin w.x + b.
   double DecisionFunction(std::span<const double> features) const;
-  double DecisionFunctionSparse(const SparseFeatureMatrix::RowView& row) const;
 
   const std::vector<double>& coefficients() const { return weights_; }
 
  private:
-  /// The historical dense Pegasos loop (bit-identity reference).
-  void FitSgdDense(const Matrix& x, const std::vector<int>& y,
-                   const std::vector<double>& weights);
-  /// Pegasos over CSR rows with deferred scaling: the O(nnz) update
-  /// trick that makes per-sample shrink affordable at 2^20 dims.
-  void FitSgdSparse(const SparseFeatureMatrix& x, const std::vector<int>& y,
-                    const std::vector<double>& weights);
-  /// Squared-hinge objective minimised with L-BFGS over either view.
-  void FitLbfgs(const FeatureView& x, const std::vector<int>& y,
-                const std::vector<double>& weights);
-
-  /// Fits the Platt sigmoid P(y=1|margin) = sigmoid(a*margin + b).
-  void FitPlatt(const FeatureView& x, const std::vector<int>& y);
-  void FitPlattOnMargins(const std::vector<double>& margins,
-                         const std::vector<int>& y);
+  /// Fits the Platt sigmoid P(y=1|margin) = sigmoid(a*margin + b) on the
+  /// trained margins of the rows of `x`.
+  void FitPlatt(const Matrix& x, const std::vector<int>& y);
 
   LinearSvmOptions options_;
   std::vector<double> weights_;

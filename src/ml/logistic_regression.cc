@@ -1,11 +1,9 @@
 #include "ml/logistic_regression.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #include "linalg/kernels.h"
-#include "ml/sparse_weights.h"
 #include "util/artifact_io.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -22,50 +20,17 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
-/// Weighted log-loss of one instance, numerically stable for any margin:
-/// log(1 + e^z) - y*z computed as softplus(-|z|) + max(z, 0) - y*z.
-double LogLoss(double margin, int label, double sample_w, double* dmargin) {
-  const double y = label == 1 ? 1.0 : 0.0;
-  const double p = Sigmoid(margin);
-  *dmargin = sample_w * (p - y);
-  const double softplus =
-      std::max(margin, 0.0) + std::log1p(std::exp(-std::fabs(margin)));
-  return sample_w * (softplus - y * margin);
-}
-
-/// Below this the deferred L2 scale risks underflow; fold it into the
-/// accumulator and reset.
-constexpr double kMinDeferredScale = 1e-100;
-
 }  // namespace
 
 void LogisticRegression::Fit(const Matrix& x, const std::vector<int>& y,
                              const std::vector<double>& weights) {
-  FitView(FeatureView(x), y, weights);
-}
-
-void LogisticRegression::FitView(const FeatureView& x,
-                                 const std::vector<int>& y,
-                                 const std::vector<double>& weights) {
   TRANSER_CHECK_EQ(x.rows(), y.size());
   TRANSER_CHECK(weights.empty() || weights.size() == y.size());
-  weights_.assign(x.cols(), 0.0);
-  bias_ = 0.0;
-  if (x.rows() == 0) return;
-
-  if (options_.solver == LinearSolver::kLbfgs) {
-    FitLbfgs(x, y, weights);
-  } else if (x.sparse()) {
-    FitSgdSparse(x.sparse_matrix(), y, weights);
-  } else {
-    FitSgdDense(x.dense_matrix(), y, weights);
-  }
-}
-
-void LogisticRegression::FitSgdDense(const Matrix& x, const std::vector<int>& y,
-                                     const std::vector<double>& weights) {
   const size_t n = x.rows();
   const size_t m = x.cols();
+  weights_.assign(m, 0.0);
+  bias_ = 0.0;
+  if (n == 0) return;
 
   Rng rng(options_.seed);
   std::vector<size_t> order(n);
@@ -92,98 +57,10 @@ void LogisticRegression::FitSgdDense(const Matrix& x, const std::vector<int>& y,
   }
 }
 
-void LogisticRegression::FitSgdSparse(const SparseFeatureMatrix& x,
-                                      const std::vector<int>& y,
-                                      const std::vector<double>& weights) {
-  const size_t n = x.size();
-
-  Rng rng(options_.seed);
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-
-  // Deferred L2 scaling: w = scale * v. The per-sample shrink is a
-  // multiply on `scale`; the data update touches only the row's
-  // nonzeros, so one step costs O(nnz) instead of O(2^20).
-  std::vector<double> v(x.num_features(), 0.0);
-  double scale = 1.0;
-
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    if (FitInterrupted()) break;
-    rng.Shuffle(&order);
-    const double lr =
-        options_.learning_rate / (1.0 + 0.01 * static_cast<double>(epoch));
-    for (size_t i : order) {
-      const SparseFeatureMatrix::RowView row = x.Row(i);
-      const double z =
-          bias_ + scale * kernels::SparseDenseDot(row.indices, row.values, v);
-      const double p = Sigmoid(z);
-      const double sample_w = weights.empty() ? 1.0 : weights[i];
-      const double grad = (p - static_cast<double>(y[i])) * sample_w;
-
-      scale *= 1.0 - lr * options_.l2;
-      if (std::fabs(scale) < kMinDeferredScale) {
-        // Pathological lr*l2 >= 1 collapses the scale to (or past)
-        // zero; fold it in so the division below stays finite.
-        kernels::ScaleInPlace(v, scale);
-        scale = 1.0;
-      }
-      kernels::SparseAxpy(-lr * grad / scale, row.indices, row.values,
-                          std::span<double>(v.data(), v.size()));
-      bias_ -= lr * grad;
-    }
-  }
-  kernels::ScaleInPlace(v, scale);
-  weights_ = std::move(v);
-}
-
-void LogisticRegression::FitLbfgs(const FeatureView& x,
-                                  const std::vector<int>& y,
-                                  const std::vector<double>& weights) {
-  const size_t m = x.cols();
-  const ExecutionContext& context = execution_context() != nullptr
-                                        ? *execution_context()
-                                        : ExecutionContext::Unlimited();
-
-  // Bias rides as the last coordinate; L2 applies to the first m only.
-  std::vector<double> params(m + 1, 0.0);
-  const double l2 = options_.l2;
-  auto objective = [&](std::span<const double> p,
-                       std::span<double> g) -> Result<double> {
-    double grad_bias = 0.0;
-    auto loss = WeightedLinearLossGrad(x, y, weights, p.first(m), p[m],
-                                       &LogLoss, g.first(m), &grad_bias,
-                                       context, /*num_threads=*/0);
-    TRANSER_RETURN_IF_ERROR(loss.status());
-    g[m] = grad_bias;
-    double value = loss.value();
-    for (size_t j = 0; j < m; ++j) {
-      value += 0.5 * l2 * p[j] * p[j];
-      g[j] += l2 * p[j];
-    }
-    return value;
-  };
-
-  LbfgsOptions lbfgs;
-  lbfgs.max_iterations = options_.lbfgs_max_iterations;
-  lbfgs.tolerance = options_.lbfgs_tolerance;
-  MinimizeLbfgs(lbfgs, execution_context(),
-                std::span<double>(params.data(), params.size()), objective);
-  std::copy(params.begin(), params.begin() + static_cast<ptrdiff_t>(m),
-            weights_.begin());
-  bias_ = params[m];
-}
-
 double LogisticRegression::PredictProba(
     std::span<const double> features) const {
   TRANSER_CHECK_EQ(features.size(), weights_.size());
   return Sigmoid(bias_ + kernels::Dot(weights_, features));
-}
-
-double LogisticRegression::PredictProbaSparse(
-    const SparseFeatureMatrix::RowView& row) const {
-  TRANSER_CHECK(row.indices.empty() || row.indices.back() < weights_.size());
-  return Sigmoid(bias_ +
-                 kernels::SparseDenseDot(row.indices, row.values, weights_));
 }
 
 Status LogisticRegression::SaveState(artifact::Encoder* out) const {
@@ -191,7 +68,7 @@ Status LogisticRegression::SaveState(artifact::Encoder* out) const {
   out->PutDouble(options_.l2);
   out->PutI64(options_.epochs);
   out->PutU64(options_.seed);
-  EncodeWeightVector(out, weights_, options_.save_cull_epsilon);
+  out->PutDoubleVec(weights_);
   out->PutDouble(bias_);
   return Status::OK();
 }
@@ -205,7 +82,7 @@ Status LogisticRegression::LoadState(artifact::Decoder* in) {
   TRANSER_RETURN_IF_ERROR(in->GetDouble(&options.l2));
   TRANSER_RETURN_IF_ERROR(in->GetI64(&epochs));
   TRANSER_RETURN_IF_ERROR(in->GetU64(&options.seed));
-  TRANSER_RETURN_IF_ERROR(DecodeWeightVector(in, &weights));
+  TRANSER_RETURN_IF_ERROR(in->GetDoubleVec(&weights));
   TRANSER_RETURN_IF_ERROR(in->GetDouble(&bias));
   if (!std::isfinite(options.learning_rate) || !std::isfinite(options.l2) ||
       epochs < 0 || epochs > INT32_MAX || !std::isfinite(bias)) {

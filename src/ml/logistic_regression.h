@@ -5,10 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "features/sparse_matrix.h"
 #include "ml/classifier.h"
-#include "ml/feature_view.h"
-#include "ml/lbfgs.h"
 
 namespace transer {
 
@@ -18,25 +15,11 @@ struct LogisticRegressionOptions {
   double l2 = 1e-4;          ///< ridge penalty on the weights (not bias)
   int epochs = 200;
   uint64_t seed = 1;
-  bool verbose = false;
-  /// kSgd is the historical stochastic path — the bit-identity reference
-  /// on dense inputs. kLbfgs minimises the regularised log-loss with the
-  /// second-order solver (ml/lbfgs.h), converging in a few data passes
-  /// on high-dimensional sparse problems.
-  LinearSolver solver = LinearSolver::kSgd;
-  int lbfgs_max_iterations = 100;
-  double lbfgs_tolerance = 1e-7;
-  /// Weight-culling threshold of SaveState: negative keeps the
-  /// historical dense layout (byte-identical artifacts); >= 0 stores
-  /// only |w| >= epsilon as sparse (index, value) pairs
-  /// (ml/sparse_weights.h).
-  double save_cull_epsilon = -1.0;
 };
 
 /// \brief L2-regularised logistic regression trained with mini-batch-free
-/// SGD over shuffled instances (or L-BFGS — see
-/// LogisticRegressionOptions::solver); supports per-sample weights and
-/// emits calibrated probabilities via the sigmoid.
+/// SGD over shuffled instances; supports per-sample weights and emits
+/// calibrated probabilities via the sigmoid.
 class LogisticRegression : public Classifier {
  public:
   explicit LogisticRegression(LogisticRegressionOptions options = {})
@@ -46,15 +29,7 @@ class LogisticRegression : public Classifier {
            const std::vector<double>& weights) override;
   using Classifier::Fit;
 
-  /// Representation-agnostic Fit: dense Matrix rows and CSR rows train
-  /// through the same solver; a dense matrix and its full CSR view
-  /// produce bit-identical weights (see ml/feature_view.h).
-  void FitView(const FeatureView& x, const std::vector<int>& y,
-               const std::vector<double>& weights);
-
   double PredictProba(std::span<const double> features) const override;
-  /// P(match) for one CSR row over the trained (dense) weights.
-  double PredictProbaSparse(const SparseFeatureMatrix::RowView& row) const;
 
   std::string name() const override { return "logistic_regression"; }
 
@@ -65,17 +40,6 @@ class LogisticRegression : public Classifier {
   double intercept() const { return bias_; }
 
  private:
-  /// The historical dense SGD loop (bit-identity reference).
-  void FitSgdDense(const Matrix& x, const std::vector<int>& y,
-                   const std::vector<double>& weights);
-  /// SGD over CSR rows with deferred L2 scaling: the O(nnz) update trick
-  /// that makes the per-sample shrink affordable at 2^20 dims.
-  void FitSgdSparse(const SparseFeatureMatrix& x, const std::vector<int>& y,
-                    const std::vector<double>& weights);
-  /// Regularised log-loss minimised with L-BFGS over either view.
-  void FitLbfgs(const FeatureView& x, const std::vector<int>& y,
-                const std::vector<double>& weights);
-
   LogisticRegressionOptions options_;
   std::vector<double> weights_;
   double bias_ = 0.0;

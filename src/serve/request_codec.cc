@@ -20,6 +20,9 @@ constexpr uint8_t kResponseMessage = 2;
 /// frame from a newer build (or a crafted one) and is rejected.
 constexpr uint8_t kMaxEventKind =
     static_cast<uint8_t>(DegradationKind::kServeArtifactRetried);
+// A response frame carries kinds as their enum values, so no kind up to
+// kMaxEventKind may change number: add or remove kinds only after it.
+static_assert(static_cast<int>(DegradationKind::kServeArtifactRetried) == 17);
 
 uint32_t ReadU32At(std::span<const uint8_t> bytes, size_t offset) {
   return static_cast<uint32_t>(bytes[offset]) |

@@ -68,7 +68,7 @@ struct IngestJournalRecovery {
 /// SegmentedJournal of IngestEntry frames. Every entry is durable
 /// (fsync'd) before the in-memory state sees it, so a SIGKILL at any
 /// boundary loses at most an *unacknowledged* append, and replaying the
-/// journal reconstructs the exact pre-crash state (DESIGN.md §11, §13).
+/// journal reconstructs the exact pre-crash state (DESIGN.md §11, §12).
 ///
 /// Retention is segment-granular: once a snapshot covers sequence S,
 /// RetainCoveredBy(S) drops every sealed segment whose entries are all

@@ -72,7 +72,7 @@ struct JournalStats {
 /// \brief Journaled streaming ER with bit-identical replay: the write-
 /// ahead loop `journal append (durable) -> apply -> periodic snapshot +
 /// segment retention`, and the recovery `load snapshot -> replay
-/// journal tail` (DESIGN.md §11, §13).
+/// journal tail` (DESIGN.md §11, §12).
 ///
 /// Crash contract: a SIGKILL (or torn write, or fsync failure, or
 /// ENOSPC) at ANY point leaves a state Open() recovers to exactly what

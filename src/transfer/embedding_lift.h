@@ -21,8 +21,8 @@ struct EmbeddingLiftOptions {
 /// \brief Maps similarity feature vectors into a fixed random nonlinear
 /// high-dimensional representation — the stand-in for the FastText /
 /// deep-encoder pair representations consumed by the DR and DTAL*
-/// baselines when the benchmark operates on feature matrices rather than
-/// raw records. (Record-level pipelines use CharNgramEmbedder instead.)
+/// baselines, which here operate on feature matrices rather than raw
+/// records.
 ///
 /// The projection (random ReLU features) is deterministic in the seed and
 /// identical for source and target, preserving homogeneity; the additive

@@ -22,9 +22,7 @@ Result<std::vector<int>> NaiveTransfer::Run(
 
   auto classifier = make_classifier();
   classifier->set_execution_context(&context);
-  FitClassifierWithRunOptions(classifier.get(), source,
-                              transfer_internal::RequireLabels(source),
-                              /*weights=*/{}, run_options);
+  classifier->Fit(source.ToMatrix(), transfer_internal::RequireLabels(source));
   TRANSER_RETURN_IF_ERROR(context.Check("naive", run_options.diagnostics));
   return classifier->PredictAll(target.ToMatrix());
 }

@@ -1,9 +1,5 @@
 #include "transfer/transfer_method.h"
 
-#include "features/sparse_matrix.h"
-#include "ml/feature_view.h"
-#include "ml/linear_svm.h"
-#include "ml/logistic_regression.h"
 #include "util/logging.h"
 
 namespace transer {
@@ -19,33 +15,6 @@ KnnBackendOptions ResolveKnnBackendOptions(
   knn.ann.seed = run_options.seed ^ 0x616e6e5f67726170ULL;
   knn.num_threads = num_threads;
   return knn;
-}
-
-void FitClassifierWithRunOptions(Classifier* classifier,
-                                 const FeatureMatrix& x,
-                                 const std::vector<int>& y,
-                                 const std::vector<double>& weights,
-                                 const TransferRunOptions& run_options) {
-  if (run_options.sparse_features) {
-    // Only the linear families own a sparse fit path; dispatch through
-    // the concrete types so other classifiers keep their dense Fit.
-    if (auto* svm = dynamic_cast<LinearSvm*>(classifier)) {
-      const SparseFeatureMatrix sparse = SparseFeatureMatrix::FromDense(x);
-      svm->FitView(FeatureView(sparse), y, weights);
-      return;
-    }
-    if (auto* lr = dynamic_cast<LogisticRegression*>(classifier)) {
-      const SparseFeatureMatrix sparse = SparseFeatureMatrix::FromDense(x);
-      lr->FitView(FeatureView(sparse), y, weights);
-      return;
-    }
-    if (run_options.diagnostics != nullptr) {
-      run_options.diagnostics->Add(
-          DegradationKind::kSparseFitUnsupported, "fit",
-          classifier->name() + " has no sparse fit path; training dense");
-    }
-  }
-  classifier->Fit(x.ToMatrix(), y, weights);
 }
 
 namespace transfer_internal {

@@ -30,16 +30,6 @@ struct TransferRunOptions {
   /// experiment at 200 GB / 72 h (Section 5.1.1, 'ME' / 'TE' cells).
   /// Never null. Not owned.
   const ExecutionContext* context = &ExecutionContext::Unlimited();
-  /// Train the method's classifiers through the sparse feature path:
-  /// instance matrices are converted to CSR (dropping exact zeros) and
-  /// linear classifiers fit through FeatureView without ever
-  /// materialising a dense copy per row. Only honoured by classifiers
-  /// with a sparse fit path (LinearSvm, LogisticRegression); other
-  /// families fall back to the dense fit with a kSparseFitUnsupported
-  /// degradation event. Decisions agree with the dense path within
-  /// solver tolerance (bit-identical for full rows — see
-  /// ml/feature_view.h).
-  bool sparse_features = false;
   /// When non-empty, methods that support model snapshots (currently
   /// TransER) persist their trained state to this path after each phase
   /// and warm-start from a compatible snapshot found there: a snapshot
@@ -97,18 +87,6 @@ class TransferMethod {
       const ClassifierFactory& make_classifier,
       const TransferRunOptions& run_options) const = 0;
 };
-
-/// Fits `classifier` on `x`/`y` honouring run_options.sparse_features:
-/// the sparse path converts `x` to CSR and trains linear classifiers
-/// through their FeatureView overload; anything else (or sparse_features
-/// off) takes the historical dense Fit. `weights` may be empty.
-/// Classifier families without a sparse fit record
-/// kSparseFitUnsupported on run_options.diagnostics and fall back.
-void FitClassifierWithRunOptions(Classifier* classifier,
-                                 const FeatureMatrix& x,
-                                 const std::vector<int>& y,
-                                 const std::vector<double>& weights,
-                                 const TransferRunOptions& run_options);
 
 namespace transfer_internal {
 

@@ -50,10 +50,6 @@ const char* DegradationKindName(DegradationKind kind) {
       return "stream_snapshot_fallback";
     case DegradationKind::kStreamRefreshSkipped:
       return "stream_refresh_skipped";
-    case DegradationKind::kSparseRowsDropped:
-      return "sparse_rows_dropped";
-    case DegradationKind::kSparseFitUnsupported:
-      return "sparse_fit_unsupported";
     case DegradationKind::kJournalRetentionStalled:
       return "journal_retention_stalled";
     case DegradationKind::kAnnExactFallback:

@@ -33,8 +33,6 @@ enum class DegradationKind {
   kStreamRecordQuarantined,  ///< ingest: poison record isolated, stream went on
   kStreamSnapshotFallback,   ///< ingest: snapshot unusable; full journal replay
   kStreamRefreshSkipped,     ///< ingest: classifier refresh due but untrainable
-  kSparseRowsDropped,        ///< sparse validation discarded malformed rows
-  kSparseFitUnsupported,     ///< classifier lacks a sparse fit; dense used
   kJournalRetentionStalled,  ///< ingest: disk budget hit, no snapshot covers
                              ///< the backlog; journal grew past the budget
   kAnnExactFallback,         ///< knn: recall_target 1.0 served by an exact

@@ -125,7 +125,7 @@ Status ScanFrames(const std::string& path, const char magic[4],
 // id range. Rotation seals the active segment and opens the next;
 // retention drops whole sealed segments from the front. Both are
 // crash-ordered so recovery can always reconcile the manifest with the
-// files actually present (DESIGN.md §13).
+// files actually present (DESIGN.md §12).
 
 /// \brief Segmented-journal tuning knobs.
 struct SegmentedJournalOptions {

@@ -50,20 +50,5 @@ TEST(CharNgramEmbedderTest, EmbedFieldsConcatenates) {
   EXPECT_EQ(out.size(), 24u);
 }
 
-TEST(CharNgramEmbedderTest, EmbedPairShapeAndIdentityProperty) {
-  CharNgramEmbedderOptions options;
-  options.dimension = 8;
-  CharNgramEmbedder embedder(options);
-  EXPECT_EQ(embedder.PairDimension(2), 32u);
-  const auto same = embedder.EmbedPair({"x", "y"}, {"x", "y"});
-  ASSERT_EQ(same.size(), 32u);
-  // |e - e| components are exactly zero for identical fields.
-  for (size_t f = 0; f < 2; ++f) {
-    for (size_t d = 0; d < 8; ++d) {
-      EXPECT_DOUBLE_EQ(same[f * 16 + d], 0.0);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace transer

@@ -236,6 +236,46 @@ TEST(ModelStoreTest, EveryTruncationIsRejectedCleanly) {
   std::remove(torn.c_str());
 }
 
+/// Appends a weight vector in the culled layout older builds could
+/// write: an all-ones count sentinel, the dimension, the stored count,
+/// then (u32 index, f64 value) pairs.
+void PutCulledWeights(artifact::Encoder* out) {
+  out->PutU64(0xFFFFFFFFFFFFFFFFull);
+  out->PutU64(4);  // dimension
+  out->PutU64(2);  // stored entries
+  out->PutU32(0);
+  out->PutDouble(0.5);
+  out->PutU32(3);
+  out->PutDouble(-1.25);
+}
+
+TEST(ModelStoreTest, CulledWeightLayoutIsRefusedNotMigrated) {
+  // Weights are stored densely only. A culled vector's sentinel count
+  // exceeds the payload, so a state holding one is refused.
+  artifact::Encoder lr_state;
+  lr_state.PutDouble(0.1);  // learning_rate
+  lr_state.PutDouble(1e-4);  // l2
+  lr_state.PutI64(200);  // epochs
+  lr_state.PutU64(1);  // seed
+  PutCulledWeights(&lr_state);
+  lr_state.PutDouble(0.25);  // bias
+  artifact::Decoder lr_in(lr_state.bytes());
+  LogisticRegression lr;
+  EXPECT_EQ(lr.LoadState(&lr_in).code(), StatusCode::kInvalidArgument);
+
+  artifact::Encoder svm_state;
+  svm_state.PutDouble(1e-3);  // lambda
+  svm_state.PutI64(200);  // epochs
+  svm_state.PutU64(2);  // seed
+  PutCulledWeights(&svm_state);
+  svm_state.PutDouble(0.25);  // bias
+  svm_state.PutDouble(1.0);  // platt_a
+  svm_state.PutDouble(0.0);  // platt_b
+  artifact::Decoder svm_in(svm_state.bytes());
+  LinearSvm svm;
+  EXPECT_EQ(svm.LoadState(&svm_in).code(), StatusCode::kInvalidArgument);
+}
+
 // ---------- TransER pipeline snapshots ----------
 
 TEST(PipelineSnapshotTest, RoundTripPreservesEverything) {
