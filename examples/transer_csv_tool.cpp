@@ -20,16 +20,18 @@
 // event; --ef-search overrides the derived beam width).
 //
 // --threads sets the worker-lane count for the parallel hot paths
-// (pair comparison, kNN, ensemble training); 0 or absent means the
-// hardware width. Predictions are bit-identical for every value.
+// (SEL's neighbourhood scans and kNN index, random-forest fitting); 0 or
+// absent means the hardware width. Predictions are bit-identical for
+// every value.
 //
 // --save-model snapshots the trained pipeline state (checksummed,
 // atomically written) after the GEN and TCL phases. --load-model
 // warm-starts from such a snapshot: with --source present, a compatible
 // snapshot skips the already-done phases (an incompatible or corrupt one
-// is rejected with a diagnostics event and the run retrains); without
-// --source the tool serves predictions straight from the snapshot's
-// classifier and never trains at all.
+// is rejected with a diagnostics event and the run retrains), and since
+// the run rewrites the snapshot, --save-model must name the same file;
+// without --source the tool serves predictions straight from the
+// snapshot's classifier and never trains at all.
 //
 // Exit codes:
 //   0  success
@@ -168,9 +170,10 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "running away. 0 (the default) means unlimited. Seconds must be\n"
       "finite and >= 0; megabytes an integer >= 0. Anything else exits 2.\n"
       "\n"
-      "--save-model snapshots the trained pipeline after GEN and TCL;\n"
-      "--load-model warm-starts from a compatible snapshot (and, without\n"
-      "--source, serves predictions from it directly).\n"
+      "--save-model snapshots the trained pipeline after GEN and TCL.\n"
+      "--load-model without --source serves predictions from a snapshot.\n"
+      "With --source it warm-starts from a compatible snapshot and then\n"
+      "rewrites it, so --save-model must name the same file.\n"
       "\n"
       "exit codes:\n"
       "  0  success\n"
@@ -238,6 +241,15 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--save-model and --load-model must name the same file "
                  "when both are given\n");
+    return 2;
+  }
+  // A training run writes its snapshot back to the file it warm-started
+  // from, so it must be asked for explicitly.
+  if (!source_path.empty() && !load_model.empty() && save_model.empty()) {
+    std::fprintf(stderr,
+                 "--load-model with --source rewrites the snapshot after "
+                 "GEN and TCL: pass --save-model=%s as well\n",
+                 load_model.c_str());
     return 2;
   }
 
@@ -350,8 +362,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  run_options.model_snapshot_path =
-      !load_model.empty() ? load_model : save_model;
+  run_options.model_snapshot_path = save_model;
 
   // The budget's clock starts here, after loading.
   const ExecutionContext context(limits);
@@ -376,10 +387,10 @@ int Main(int argc, char** argv) {
   std::printf("SEL kept %zu; TCL trained on %zu balanced instances\n",
               report.selected_instances, report.balanced_instances);
   if (report.served_from_snapshot) {
-    std::printf("served predictions from snapshot %s\n", load_model.c_str());
+    std::printf("served predictions from snapshot %s\n", save_model.c_str());
   } else if (report.warm_started) {
     std::printf("warm-started after GEN from snapshot %s\n",
-                load_model.c_str());
+                save_model.c_str());
   }
   report.diagnostics.Merge(ingest_diag);
   std::printf("diagnostics: %s\n", report.diagnostics.Summary().c_str());

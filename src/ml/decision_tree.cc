@@ -5,6 +5,7 @@
 
 #include "util/artifact_io.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -29,35 +30,91 @@ double LeafProbability(double match_w, double total_w) {
 
 }  // namespace
 
+PresortedColumns::PresortedColumns(const Matrix& x, int num_threads)
+    : rows_(x.rows()), cols_(x.cols()), order_(x.rows() * x.cols()) {
+  TRANSER_CHECK_LE(rows_, static_cast<size_t>(UINT32_MAX));
+  ParallelOptions par;
+  par.num_threads = num_threads;
+  const Status sorted = ParallelFor(
+      ExecutionContext::Unlimited(), "presort_columns", cols_,
+      [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
+        std::vector<std::pair<double, uint32_t>> keyed(rows_);
+        for (size_t f = begin; f < end; ++f) {
+          for (size_t row = 0; row < rows_; ++row) {
+            keyed[row] = {x(row, f), static_cast<uint32_t>(row)};
+          }
+          std::sort(keyed.begin(), keyed.end());  // (value, row) order
+          uint32_t* column = order_.data() + f * rows_;
+          for (size_t i = 0; i < rows_; ++i) column[i] = keyed[i].second;
+        }
+        return Status::OK();
+      },
+      par);
+  TRANSER_CHECK(sorted.ok());
+}
+
+struct DecisionTree::GrowState {
+  const Matrix& x;
+  const std::vector<int>& y;
+  const std::vector<double>& w;
+  /// Column-major working copy of the presorted order. A node owns
+  /// positions [begin, end) of every column, and they hold the same rows
+  /// in each column's (value, row) order.
+  std::vector<uint32_t> columns;
+  std::vector<uint8_t> goes_left;    ///< per row, for the node being split
+  std::vector<uint32_t> right_rows;  ///< stable-partition buffer
+};
+
 void DecisionTree::Fit(const Matrix& x, const std::vector<int>& y,
                        const std::vector<double>& weights) {
+  std::vector<double> w = weights;
+  if (w.empty()) w.assign(x.rows(), 1.0);
+  FitPresorted(x, y, w, PresortedColumns(x, 1));
+}
+
+void DecisionTree::FitPresorted(const Matrix& x, const std::vector<int>& y,
+                                const std::vector<double>& w,
+                                const PresortedColumns& presorted) {
+  TRANSER_CHECK_GE(options_.min_samples_split, 1u);
   TRANSER_CHECK_EQ(x.rows(), y.size());
-  TRANSER_CHECK(weights.empty() || weights.size() == y.size());
+  TRANSER_CHECK_EQ(w.size(), y.size());
+  TRANSER_CHECK(presorted.rows() == x.rows() && presorted.cols() == x.cols());
   nodes_.clear();
   root_ = -1;
   num_features_ = x.cols();
   rng_state_ = options_.seed;
   if (x.rows() == 0) return;
 
-  std::vector<double> w = weights;
-  if (w.empty()) w.assign(x.rows(), 1.0);
-
-  std::vector<size_t> indices(x.rows());
-  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  GrowState state{x, y, w, presorted.order(),
+                  std::vector<uint8_t>(x.rows()),
+                  std::vector<uint32_t>(x.rows())};
+  if (num_features_ == 0) {
+    // Nothing to split on: the root's census runs over the rows in
+    // index order.
+    state.columns.resize(x.rows());
+    for (size_t row = 0; row < x.rows(); ++row) {
+      state.columns[row] = static_cast<uint32_t>(row);
+    }
+  }
   nodes_.reserve(2 * x.rows() / options_.min_samples_split + 4);
-  root_ = Grow(x, y, w, &indices, 0, indices.size(), 0);
+  root_ = Grow(&state, 0, x.rows(), 0);
 }
 
-ptrdiff_t DecisionTree::Grow(const Matrix& x, const std::vector<int>& y,
-                             const std::vector<double>& w,
-                             std::vector<size_t>* indices, size_t begin,
-                             size_t end, int depth) {
+ptrdiff_t DecisionTree::Grow(GrowState* state, size_t begin, size_t end,
+                             int depth) {
+  const Matrix& x = state->x;
+  const std::vector<int>& y = state->y;
+  const std::vector<double>& w = state->w;
+  const size_t rows = x.rows();
+
+  // The census runs in feature 0's order.
+  const uint32_t* census = state->columns.data();
   double total_w = 0.0;
   double match_w = 0.0;
   for (size_t i = begin; i < end; ++i) {
-    const size_t row = (*indices)[i];
+    const size_t row = census[i];
     total_w += w[row];
-    if (y[row] == 1) match_w += w[row];
+    match_w += y[row] == 1 ? w[row] : 0.0;
   }
 
   Node node;
@@ -71,6 +128,7 @@ ptrdiff_t DecisionTree::Grow(const Matrix& x, const std::vector<int>& y,
   size_t best_feature = 0;
   double best_threshold = 0.0;
   double best_decrease = options_.min_impurity_decrease;
+  size_t best_mid = begin;  // first position of the right child
   bool found = false;
 
   // An interrupted Fit stops splitting: the subtree collapses to a leaf
@@ -89,23 +147,22 @@ ptrdiff_t DecisionTree::Grow(const Matrix& x, const std::vector<int>& y,
                                                 options_.max_features);
     }
 
-    std::vector<size_t> sorted(indices->begin() + static_cast<ptrdiff_t>(begin),
-                               indices->begin() + static_cast<ptrdiff_t>(end));
     for (size_t feature : candidates) {
-      std::sort(sorted.begin(), sorted.end(),
-                [&x, feature](size_t a, size_t b) {
-                  return x(a, feature) < x(b, feature);
-                });
+      const uint32_t* sorted = state->columns.data() + feature * rows;
       // Sweep split points between consecutive distinct values.
       double left_w = 0.0;
       double left_match = 0.0;
-      for (size_t i = 0; i + 1 < sorted.size(); ++i) {
+      double value = x(sorted[begin], feature);
+      for (size_t i = begin; i + 1 < end; ++i) {
         const size_t row = sorted[i];
         left_w += w[row];
-        if (y[row] == 1) left_match += w[row];
-        const double value = x(row, feature);
+        // Adding +0.0 leaves a sum that started at +0.0 unchanged, so
+        // this branch-free form sums exactly what the branch would.
+        left_match += y[row] == 1 ? w[row] : 0.0;
+        const double current = value;
         const double next = x(sorted[i + 1], feature);
-        if (next <= value) continue;  // no boundary here
+        value = next;
+        if (next <= current) continue;  // no boundary here
         const double right_w = total_w - left_w;
         const double right_match = match_w - left_match;
         if (left_w <= 0.0 || right_w <= 0.0) continue;
@@ -118,11 +175,12 @@ ptrdiff_t DecisionTree::Grow(const Matrix& x, const std::vector<int>& y,
           // The midpoint of two nearly-adjacent doubles can round up to
           // `next`, which would make the `<= threshold` partition
           // degenerate; such boundaries are unsplittable.
-          const double threshold = value + 0.5 * (next - value);
+          const double threshold = current + 0.5 * (next - current);
           if (!(threshold < next)) continue;
           best_decrease = decrease;
           best_feature = feature;
           best_threshold = threshold;
+          best_mid = i + 1;
           found = true;
         }
       }
@@ -134,24 +192,41 @@ ptrdiff_t DecisionTree::Grow(const Matrix& x, const std::vector<int>& y,
     return static_cast<ptrdiff_t>(nodes_.size() - 1);
   }
 
-  // Partition the index slice around the chosen split.
-  auto mid_it = std::partition(
-      indices->begin() + static_cast<ptrdiff_t>(begin),
-      indices->begin() + static_cast<ptrdiff_t>(end),
-      [&x, best_feature, best_threshold](size_t row) {
-        return x(row, best_feature) <= best_threshold;
-      });
-  const size_t mid =
-      static_cast<size_t>(mid_it - indices->begin());
+  // The split feature's slice is already partitioned: its rows up to
+  // best_mid are the ones with value <= best_threshold. Every other
+  // column moves its left rows forward and its right rows after them,
+  // each side keeping its order.
+  const size_t mid = best_mid;
   TRANSER_CHECK(mid > begin && mid < end);
+  const uint32_t* split = state->columns.data() + best_feature * rows;
+  for (size_t i = begin; i < end; ++i) state->goes_left[split[i]] = i < mid;
+  for (size_t f = 0; f < num_features_; ++f) {
+    if (f == best_feature) continue;
+    uint32_t* column = state->columns.data() + f * rows;
+    size_t left = begin;
+    size_t right = 0;
+    for (size_t i = begin; i < end; ++i) {
+      // Branch-free: both stores land, one cursor advances. A right row
+      // written at `left` is overwritten later, since left <= i.
+      const uint32_t row = column[i];
+      const size_t to_left = state->goes_left[row];
+      column[left] = row;
+      state->right_rows[right] = row;
+      left += to_left;
+      right += 1 - to_left;
+    }
+    std::copy(state->right_rows.begin(),
+              state->right_rows.begin() + static_cast<ptrdiff_t>(right),
+              column + left);
+  }
 
   node.is_leaf = false;
   node.feature = best_feature;
   node.threshold = best_threshold;
   nodes_.push_back(node);
   const ptrdiff_t index = static_cast<ptrdiff_t>(nodes_.size() - 1);
-  const ptrdiff_t left = Grow(x, y, w, indices, begin, mid, depth + 1);
-  const ptrdiff_t right = Grow(x, y, w, indices, mid, end, depth + 1);
+  const ptrdiff_t left = Grow(state, begin, mid, depth + 1);
+  const ptrdiff_t right = Grow(state, mid, end, depth + 1);
   nodes_[static_cast<size_t>(index)].left = left;
   nodes_[static_cast<size_t>(index)].right = right;
   return index;

@@ -9,6 +9,29 @@
 
 namespace transer {
 
+/// \brief Every row of a feature matrix listed once per feature, in
+/// ascending (x(row, f), row) order. Built once per Fit (once per forest,
+/// then read by all of its trees at the same time), so growing a tree
+/// never sorts: each split stably partitions the node's slice of every
+/// column, which keeps both children's slices in this order.
+class PresortedColumns {
+ public:
+  /// Sorts the columns of `x`, one column per ParallelFor item on
+  /// `num_threads` lanes (0 = process default). Requires fewer than
+  /// 2^32 rows.
+  PresortedColumns(const Matrix& x, int num_threads);
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return cols_; }
+  /// Column-major: column f is [f * rows(), (f + 1) * rows()).
+  const std::vector<uint32_t>& order() const { return order_; }
+
+ private:
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  std::vector<uint32_t> order_;
+};
+
 /// \brief Hyper-parameters for the CART decision tree.
 struct DecisionTreeOptions {
   int max_depth = 12;
@@ -20,10 +43,16 @@ struct DecisionTreeOptions {
   uint64_t seed = 3;
 };
 
-/// \brief CART binary decision tree with weighted Gini impurity splits.
-/// Leaf probabilities are the raw (weighted) match fraction, so pure
-/// leaves report exactly 0 or 1 — matching sklearn's behaviour, which the
+/// \brief CART binary decision tree with weighted Gini impurity splits,
+/// grown over presorted columns (SLIQ's attribute lists). Leaf
+/// probabilities are the raw (weighted) match fraction, so pure leaves
+/// report exactly 0 or 1 — matching sklearn's behaviour, which the
 /// paper's t_p = 0.99 pseudo-label confidence threshold presumes.
+///
+/// Each node sums its (weight, match weight) census over its rows in
+/// feature 0's (value, row) order, and sweeps a candidate feature's
+/// split points in that feature's (value, row) order. Integer weights
+/// (unweighted fits and bootstrap counts) give exact sums in any order.
 class DecisionTree : public Classifier {
  public:
   explicit DecisionTree(DecisionTreeOptions options = {})
@@ -56,11 +85,21 @@ class DecisionTree : public Classifier {
     double match_probability = 0.5;
   };
 
-  /// Recursively grows the subtree over indices[begin, end); returns the
-  /// new node's index. Uses rng_ to draw per-node feature subsets.
-  ptrdiff_t Grow(const Matrix& x, const std::vector<int>& y,
-                 const std::vector<double>& w, std::vector<size_t>* indices,
-                 size_t begin, size_t end, int depth);
+  friend class RandomForest;
+
+  /// Per-Fit working state: the copy of the presorted columns and the
+  /// partition buffers (defined in decision_tree.cc).
+  struct GrowState;
+
+  /// Fits on `presorted` (built from `x`) with one weight per row.
+  void FitPresorted(const Matrix& x, const std::vector<int>& y,
+                    const std::vector<double>& w,
+                    const PresortedColumns& presorted);
+
+  /// Recursively grows the subtree over positions [begin, end) of every
+  /// column; returns the new node's index. Draws per-node feature
+  /// subsets from rng_state_.
+  ptrdiff_t Grow(GrowState* state, size_t begin, size_t end, int depth);
 
   DecisionTreeOptions options_;
   std::vector<Node> nodes_;

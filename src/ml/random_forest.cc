@@ -13,6 +13,7 @@ namespace transer {
 void RandomForest::Fit(const Matrix& x, const std::vector<int>& y,
                        const std::vector<double>& weights) {
   TRANSER_CHECK_EQ(x.rows(), y.size());
+  TRANSER_CHECK(weights.empty() || weights.size() == y.size());
   trees_.clear();
   if (x.rows() == 0) return;
 
@@ -28,40 +29,48 @@ void RandomForest::Fit(const Matrix& x, const std::vector<int>& y,
   // Bags and per-tree seeds are drawn up front from the single forest
   // stream — exactly the draws (and order) the serial loop made — so
   // every tree's training inputs are fixed before any tree fits and the
-  // forest is bit-identical at any thread count.
+  // forest is bit-identical at any thread count. A bag is kept as
+  // bootstrap counts; each tree turns its counts into weights on its own
+  // lane.
   struct TreePlan {
-    std::vector<double> bag_weights;
+    std::vector<uint32_t> bag_counts;
     uint64_t seed = 0;
   };
   std::vector<TreePlan> plans(options_.num_trees);
   for (size_t t = 0; t < options_.num_trees; ++t) {
-    // Bootstrap sample expressed through multiplicative sample weights so
-    // user-provided weights compose with bagging.
-    plans[t].bag_weights.assign(n, 0.0);
+    plans[t].bag_counts.assign(n, 0);
     for (size_t draw = 0; draw < n; ++draw) {
-      plans[t].bag_weights[rng.NextUint64Below(n)] += 1.0;
-    }
-    if (!weights.empty()) {
-      for (size_t i = 0; i < n; ++i) plans[t].bag_weights[i] *= weights[i];
+      ++plans[t].bag_counts[rng.NextUint64Below(n)];
     }
     plans[t].seed = rng.NextUint64();
   }
 
+  // Every tree reads the same presorted columns.
+  const PresortedColumns presorted(x, options_.num_threads);
   std::vector<std::unique_ptr<DecisionTree>> slots(options_.num_trees);
   ParallelOptions par;
   par.num_threads = options_.num_threads;
   const Status fitted = ParallelFor(
       ExecutionContext::Unlimited(), "random_forest", options_.num_trees,
       [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
+        std::vector<double> bag_weights(n);
         for (size_t t = begin; t < end; ++t) {
           // Interruption is graceful, not an error: unfitted slots stay
           // empty and the caller surfaces the status via Check.
           if (FitInterrupted()) return Status::OK();
+          // Bootstrap sample expressed through multiplicative sample
+          // weights so user-provided weights compose with bagging.
+          const std::vector<uint32_t>& counts = plans[t].bag_counts;
+          for (size_t i = 0; i < n; ++i) {
+            bag_weights[i] = weights.empty()
+                                 ? static_cast<double>(counts[i])
+                                 : static_cast<double>(counts[i]) * weights[i];
+          }
           DecisionTreeOptions slot_options = tree_options;
           slot_options.seed = plans[t].seed;
           auto tree = std::make_unique<DecisionTree>(slot_options);
           tree->set_execution_context(execution_context());
-          tree->Fit(x, y, plans[t].bag_weights);
+          tree->FitPresorted(x, y, bag_weights, presorted);
           slots[t] = std::move(tree);
         }
         return Status::OK();

@@ -16,10 +16,13 @@ namespace transer {
 /// \brief Per-run controls for a transfer method.
 struct TransferRunOptions {
   uint64_t seed = 0;
-  /// Worker lanes for the parallel hot paths (comparison, kNN, ensemble
-  /// fitting). 0 = the process default (hardware width or the binary's
-  /// --threads flag). Results are bit-identical for every value — see
-  /// util/parallel.h.
+  /// Worker lanes for SEL's neighbourhood loop and its kNN index, and
+  /// for a sweep's group lanes. RunTransferPipeline also hands it to
+  /// blocking and comparison when PipelineOptions::num_threads is 0. No
+  /// classifier reads it: a random forest fits on
+  /// RandomForestOptions::num_threads. 0 = the process default (hardware
+  /// width or the binary's --threads flag). Results are bit-identical for
+  /// every value — see util/parallel.h.
   int num_threads = 0;
   /// Optional sink for the graceful-degradation events of the run
   /// (threshold relaxations, fallbacks, skipped phases) and for the

@@ -38,9 +38,8 @@ void SetDefaultThreadCount(int n);
 /// would (the determinism contract of the Table 2/3 journals).
 int EffectiveThreadCount(int requested);
 
-/// True while the calling thread is executing inside a ParallelFor /
-/// ParallelReduce lane (used by EffectiveThreadCount; exposed for
-/// tests).
+/// True while the calling thread is executing inside a ParallelFor
+/// lane (used by EffectiveThreadCount; exposed for tests).
 bool InParallelRegion();
 
 // ---------------------------------------------------------------------
@@ -79,8 +78,8 @@ inline constexpr size_t kMaxChunksPerRegion = 256;
 /// \brief Lazily-started shared worker pool. Threads are spawned on
 /// first demand (never at static-init time) and grown as regions
 /// request more lanes, up to a hard cap; they idle on a condition
-/// variable between regions. Use through ParallelFor / ParallelReduce —
-/// Run() is the low-level primitive.
+/// variable between regions. Use through ParallelFor — Run() is the
+/// low-level primitive.
 class ThreadPool {
  public:
   /// The process-wide pool. First call constructs it; workers start
@@ -170,34 +169,6 @@ Status ParallelForSeeded(const ExecutionContext& context,
                          const std::string& scope, size_t n, uint64_t seed,
                          const SeededParallelChunkBody& body,
                          const ParallelOptions& options = {});
-
-/// \brief Ordered parallel reduction: `map` fills one accumulator per
-/// chunk (each starts as a copy of `init`), and after every chunk
-/// succeeded `combine(&result, &part)` folds the parts into `init`'s
-/// copy strictly in chunk order on the calling thread. Floating-point
-/// reductions are therefore bit-identical for any thread count.
-///
-/// map:     Status(size_t begin, size_t end, size_t chunk, T* acc)
-/// combine: void(T* into, T* part) — applied for chunks 0, 1, 2, ...
-template <typename T, typename MapFn, typename CombineFn>
-Result<T> ParallelReduce(const ExecutionContext& context,
-                         const std::string& scope, size_t n, T init,
-                         MapFn map, CombineFn combine,
-                         const ParallelOptions& options = {}) {
-  const ChunkPlan plan = PlanChunks(n, options.min_items_per_chunk);
-  std::vector<T> parts(plan.num_chunks, init);
-  TRANSER_RETURN_IF_ERROR(ParallelFor(
-      context, scope, n,
-      [&](size_t begin, size_t end, size_t chunk) -> Status {
-        return map(begin, end, chunk, &parts[chunk]);
-      },
-      options));
-  T result = std::move(init);
-  for (size_t chunk = 0; chunk < parts.size(); ++chunk) {
-    combine(&result, &parts[chunk]);
-  }
-  return result;
-}
 
 }  // namespace transer
 

@@ -38,11 +38,12 @@ uint64_t Rng::NextUint64() {
 
 uint64_t Rng::NextUint64Below(uint64_t n) {
   TRANSER_CHECK_GT(n, 0u);
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = (-n) % n;
+  // Rejection sampling to avoid modulo bias: draws below 2^64 mod n are
+  // rejected. That threshold is below n, so it is only computed for the
+  // rare draw below n.
   for (;;) {
-    uint64_t r = NextUint64();
-    if (r >= threshold) return r % n;
+    const uint64_t r = NextUint64();
+    if (r >= n || r >= (-n) % n) return r % n;
   }
 }
 

@@ -1,8 +1,12 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.h"
+#include "data/bibliographic_generator.h"
+#include "data/demographic_generator.h"
 #include "eval/metrics.h"
 #include "ml/classifier.h"
 #include "ml/decision_tree.h"
@@ -13,6 +17,7 @@
 #include "ml/random_forest.h"
 #include "ml/sampling.h"
 #include "ml/scaler.h"
+#include "util/artifact_io.h"
 #include "util/random.h"
 
 namespace transer {
@@ -227,6 +232,438 @@ TEST(RandomForestTest, OutperformsSingleTreeOnNoisyData) {
   const double tree_acc = Accuracy(test.y, tree.PredictAll(test.x));
   const double forest_acc = Accuracy(test.y, forest.PredictAll(test.x));
   EXPECT_GE(forest_acc, tree_acc - 0.02);  // forest at least on par
+}
+
+// ---------- presorted growth vs. a sort-based reference ----------
+
+/// How the reference orders equal values.
+enum class TieOrder {
+  /// std::sort by value alone over the previous feature's order, census
+  /// in partition order: unspecified among ties, exact for integer
+  /// weights only.
+  kUnspecified,
+  /// Sweeps in (value, row) order and sums each census in feature 0's
+  /// (value, row) order: the order DecisionTree documents.
+  kValueRow,
+};
+
+/// A CART grower that sorts each node's rows for every candidate
+/// feature. Its state encodes exactly as DecisionTree::SaveState does, so
+/// the two fits can be compared byte for byte.
+class SortedReferenceTree {
+ public:
+  SortedReferenceTree(DecisionTreeOptions options, TieOrder order)
+      : options_(options), order_(order) {}
+
+  void Fit(const Matrix& x, const std::vector<int>& y,
+           const std::vector<double>& w) {
+    x_ = &x;
+    y_ = &y;
+    w_ = &w;
+    nodes_.clear();
+    root_ = -1;
+    rng_state_ = options_.seed;
+    if (x.rows() == 0) return;
+    std::vector<size_t> indices(x.rows());
+    for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+    root_ = Grow(&indices, 0, indices.size(), 0);
+  }
+
+  void Save(artifact::Encoder* out) const {
+    out->PutI64(options_.max_depth);
+    out->PutU64(options_.min_samples_split);
+    out->PutDouble(options_.min_impurity_decrease);
+    out->PutU64(options_.max_features);
+    out->PutU64(options_.seed);
+    out->PutU64(x_->cols());
+    out->PutI64(root_);
+    out->PutU64(nodes_.size());
+    for (const Node& node : nodes_) {
+      out->PutU8(node.is_leaf ? 1 : 0);
+      out->PutU64(node.feature);
+      out->PutDouble(node.threshold);
+      out->PutI64(node.left);
+      out->PutI64(node.right);
+      out->PutDouble(node.match_probability);
+    }
+  }
+
+ private:
+  struct Node {
+    bool is_leaf = true;
+    size_t feature = 0;
+    double threshold = 0.0;
+    ptrdiff_t left = -1;
+    ptrdiff_t right = -1;
+    double match_probability = 0.5;
+  };
+
+  static double Gini(double match_w, double total_w) {
+    if (total_w <= 0.0) return 0.0;
+    const double p = match_w / total_w;
+    return 2.0 * p * (1.0 - p);
+  }
+
+  void SortBy(size_t feature, std::vector<size_t>* rows) const {
+    const Matrix& x = *x_;
+    if (order_ == TieOrder::kUnspecified) {
+      std::sort(rows->begin(), rows->end(), [&x, feature](size_t a, size_t b) {
+        return x(a, feature) < x(b, feature);
+      });
+    } else {
+      std::sort(rows->begin(), rows->end(), [&x, feature](size_t a, size_t b) {
+        return x(a, feature) < x(b, feature) ||
+               (x(a, feature) == x(b, feature) && a < b);
+      });
+    }
+  }
+
+  ptrdiff_t Grow(std::vector<size_t>* indices, size_t begin, size_t end,
+                 int depth) {
+    const Matrix& x = *x_;
+    const std::vector<int>& y = *y_;
+    const std::vector<double>& w = *w_;
+    const size_t num_features = x.cols();
+    std::vector<size_t> census(indices->begin() + static_cast<ptrdiff_t>(begin),
+                               indices->begin() + static_cast<ptrdiff_t>(end));
+    if (order_ == TieOrder::kValueRow) {
+      if (num_features > 0) {
+        SortBy(0, &census);
+      } else {
+        std::sort(census.begin(), census.end());
+      }
+    }
+    double total_w = 0.0;
+    double match_w = 0.0;
+    for (size_t row : census) {
+      total_w += w[row];
+      if (y[row] == 1) match_w += w[row];
+    }
+
+    Node node;
+    node.match_probability = total_w <= 0.0 ? 0.5 : match_w / total_w;
+    const double parent_impurity = Gini(match_w, total_w);
+    const bool can_split = depth < options_.max_depth &&
+                           end - begin >= options_.min_samples_split &&
+                           parent_impurity > 0.0;
+
+    size_t best_feature = 0;
+    double best_threshold = 0.0;
+    double best_decrease = options_.min_impurity_decrease;
+    bool found = false;
+    if (can_split) {
+      std::vector<size_t> candidates;
+      if (options_.max_features == 0 ||
+          options_.max_features >= num_features) {
+        candidates.resize(num_features);
+        for (size_t f = 0; f < num_features; ++f) candidates[f] = f;
+      } else {
+        Rng rng(rng_state_);
+        rng_state_ = rng.NextUint64();
+        candidates = rng.SampleWithoutReplacement(num_features,
+                                                  options_.max_features);
+      }
+      std::vector<size_t> sorted(
+          indices->begin() + static_cast<ptrdiff_t>(begin),
+          indices->begin() + static_cast<ptrdiff_t>(end));
+      for (size_t feature : candidates) {
+        SortBy(feature, &sorted);
+        double left_w = 0.0;
+        double left_match = 0.0;
+        for (size_t i = 0; i + 1 < sorted.size(); ++i) {
+          const size_t row = sorted[i];
+          left_w += w[row];
+          if (y[row] == 1) left_match += w[row];
+          const double value = x(row, feature);
+          const double next = x(sorted[i + 1], feature);
+          if (next <= value) continue;
+          const double right_w = total_w - left_w;
+          const double right_match = match_w - left_match;
+          if (left_w <= 0.0 || right_w <= 0.0) continue;
+          const double child_impurity =
+              (left_w * Gini(left_match, left_w) +
+               right_w * Gini(right_match, right_w)) /
+              total_w;
+          const double decrease = parent_impurity - child_impurity;
+          if (decrease > best_decrease) {
+            const double threshold = value + 0.5 * (next - value);
+            if (!(threshold < next)) continue;
+            best_decrease = decrease;
+            best_feature = feature;
+            best_threshold = threshold;
+            found = true;
+          }
+        }
+      }
+    }
+    if (!found) {
+      nodes_.push_back(node);
+      return static_cast<ptrdiff_t>(nodes_.size() - 1);
+    }
+    auto mid_it = std::partition(
+        indices->begin() + static_cast<ptrdiff_t>(begin),
+        indices->begin() + static_cast<ptrdiff_t>(end),
+        [&x, best_feature, best_threshold](size_t row) {
+          return x(row, best_feature) <= best_threshold;
+        });
+    const size_t mid = static_cast<size_t>(mid_it - indices->begin());
+    node.is_leaf = false;
+    node.feature = best_feature;
+    node.threshold = best_threshold;
+    nodes_.push_back(node);
+    const ptrdiff_t index = static_cast<ptrdiff_t>(nodes_.size() - 1);
+    const ptrdiff_t left = Grow(indices, begin, mid, depth + 1);
+    const ptrdiff_t right = Grow(indices, mid, end, depth + 1);
+    nodes_[static_cast<size_t>(index)].left = left;
+    nodes_[static_cast<size_t>(index)].right = right;
+    return index;
+  }
+
+  DecisionTreeOptions options_;
+  TieOrder order_;
+  const Matrix* x_ = nullptr;
+  const std::vector<int>* y_ = nullptr;
+  const std::vector<double>* w_ = nullptr;
+  std::vector<Node> nodes_;
+  ptrdiff_t root_ = -1;
+  uint64_t rng_state_ = 0;
+};
+
+std::vector<uint8_t> ReferenceTreeState(const DecisionTreeOptions& options,
+                                        TieOrder order, const Matrix& x,
+                                        const std::vector<int>& y,
+                                        const std::vector<double>& weights) {
+  std::vector<double> w = weights;
+  if (w.empty()) w.assign(x.rows(), 1.0);
+  SortedReferenceTree tree(options, order);
+  tree.Fit(x, y, w);
+  artifact::Encoder out;
+  tree.Save(&out);
+  return out.TakeBytes();
+}
+
+/// The forest's draws, made as `double` bag weights in the forest's
+/// order, each tree grown by the reference.
+std::vector<uint8_t> ReferenceForestState(const RandomForestOptions& options,
+                                          TieOrder order, const Matrix& x,
+                                          const std::vector<int>& y,
+                                          const std::vector<double>& weights) {
+  const size_t n = x.rows();
+  DecisionTreeOptions tree_options = options.tree;
+  if (tree_options.max_features == 0) {
+    tree_options.max_features = static_cast<size_t>(
+        std::max(1.0, std::floor(std::sqrt(static_cast<double>(x.cols())))));
+  }
+  artifact::Encoder out;
+  out.PutU64(options.num_trees);
+  out.PutU64(options.seed);
+  out.PutU64(n == 0 ? 0 : options.num_trees);
+  Rng rng(options.seed);
+  for (size_t t = 0; n > 0 && t < options.num_trees; ++t) {
+    std::vector<double> bag(n, 0.0);
+    for (size_t draw = 0; draw < n; ++draw) bag[rng.NextUint64Below(n)] += 1.0;
+    if (!weights.empty()) {
+      for (size_t i = 0; i < n; ++i) bag[i] *= weights[i];
+    }
+    DecisionTreeOptions slot_options = tree_options;
+    slot_options.seed = rng.NextUint64();
+    SortedReferenceTree tree(slot_options, order);
+    tree.Fit(x, y, bag);
+    tree.Save(&out);
+  }
+  return out.TakeBytes();
+}
+
+template <typename Model>
+std::vector<uint8_t> StateBytes(const Model& model) {
+  artifact::Encoder out;
+  EXPECT_TRUE(model.SaveState(&out).ok());
+  return out.TakeBytes();
+}
+
+struct NamedInput {
+  std::string name;
+  Matrix x;
+  std::vector<int> y;
+};
+
+/// Comparison vectors of a small seeded biblio or demo source domain.
+NamedInput DomainInput(bool bibliographic, uint64_t seed) {
+  LinkageProblem problem;
+  if (bibliographic) {
+    BibliographicOptions options;
+    options.num_entities = 1000;
+    options.seed = seed;
+    options.right_corruption.typo_probability = 0.3;
+    problem = GenerateBibliographic(options);
+  } else {
+    DemographicOptions options;
+    options.num_families = 1500;
+    options.seed = seed;
+    options.right_corruption.typo_probability = 0.3;
+    problem = GenerateDemographic(options);
+  }
+  auto features = BuildDomainFeatures(problem, PipelineOptions{});
+  EXPECT_TRUE(features.ok()) << features.status().ToString();
+  return {bibliographic ? "biblio" : "demo", features.value().ToMatrix(),
+          features.value().labels()};
+}
+
+/// The edge cases: values on a coarse grid (ties everywhere) beside a
+/// constant column, one class only, and fewer rows than a split needs.
+std::vector<NamedInput> EdgeInputs() {
+  std::vector<NamedInput> inputs;
+  Rng rng(81);
+  NamedInput ties{"ties_and_constant_column", Matrix(400, 4), {}};
+  for (size_t i = 0; i < 400; ++i) {
+    const int label = rng.Bernoulli(0.35) ? 1 : 0;
+    ties.y.push_back(label);
+    for (size_t f = 0; f < 3; ++f) {
+      const double center = label == 1 ? 0.7 : 0.3;
+      ties.x(i, f) = std::round(std::clamp(rng.Gaussian(center, 0.25), 0.0,
+                                           1.0) * 4.0) / 4.0;
+    }
+    ties.x(i, 3) = 0.5;
+  }
+  inputs.push_back(ties);
+  NamedInput single{"single_class", Matrix(50, 2), std::vector<int>(50, 1)};
+  for (size_t i = 0; i < 50; ++i) {
+    single.x(i, 0) = rng.NextDouble();
+    single.x(i, 1) = rng.NextDouble();
+  }
+  inputs.push_back(single);
+  inputs.push_back({"below_min_samples_split",
+                    Matrix({{0.1, 0.9}, {0.8, 0.2}, {0.5, 0.5}}),
+                    {0, 1, 0}});
+  inputs.push_back({"no_columns", Matrix(6, 0), {0, 1, 0, 1, 1, 0}});
+  return inputs;
+}
+
+std::vector<NamedInput> DifferentialInputs() {
+  std::vector<NamedInput> inputs = {DomainInput(true, 17),
+                                    DomainInput(false, 18)};
+  for (NamedInput& edge : EdgeInputs()) inputs.push_back(std::move(edge));
+  return inputs;
+}
+
+/// Integer weights with zeros: a bootstrap bag's counts.
+std::vector<double> BootstrapCounts(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> counts(n, 0.0);
+  for (size_t draw = 0; draw < n; ++draw) counts[rng.NextUint64Below(n)] += 1.0;
+  return counts;
+}
+
+std::vector<double> IntegerWeights(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> weights(n);
+  for (double& w : weights) w = static_cast<double>(rng.NextUint64Below(4));
+  return weights;
+}
+
+std::vector<double> RealWeights(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> weights(n);
+  for (double& w : weights) {
+    w = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(0.05, 2.0);
+  }
+  return weights;
+}
+
+std::vector<DecisionTreeOptions> TreeOptionGrid(size_t num_features) {
+  DecisionTreeOptions all_features;  // max_features 0: every feature
+  DecisionTreeOptions sqrt_features;
+  sqrt_features.max_features = static_cast<size_t>(
+      std::max(1.0, std::floor(std::sqrt(static_cast<double>(num_features)))));
+  sqrt_features.seed = 11;
+  DecisionTreeOptions depth_zero;
+  depth_zero.max_depth = 0;
+  DecisionTreeOptions deep;
+  deep.max_depth = 30;
+  deep.min_samples_split = 1;
+  deep.min_impurity_decrease = 0.0;
+  return {all_features, sqrt_features, depth_zero, deep};
+}
+
+TEST(PresortedGrowthTest, TreeStateMatchesSortReferenceForIntegerWeights) {
+  for (const NamedInput& input : DifferentialInputs()) {
+    const size_t n = input.x.rows();
+    const std::vector<std::vector<double>> weightings = {
+        {}, BootstrapCounts(n, 5), IntegerWeights(n, 6)};
+    for (const DecisionTreeOptions& options : TreeOptionGrid(input.x.cols())) {
+      for (size_t k = 0; k < weightings.size(); ++k) {
+        DecisionTree tree(options);
+        tree.Fit(input.x, input.y, weightings[k]);
+        EXPECT_EQ(StateBytes(tree),
+                  ReferenceTreeState(options, TieOrder::kUnspecified, input.x,
+                                     input.y, weightings[k]))
+            << input.name << " weighting " << k << " max_features "
+            << options.max_features << " max_depth " << options.max_depth;
+      }
+    }
+  }
+}
+
+TEST(PresortedGrowthTest, ForestStateMatchesSortReferenceAtAnyLaneCount) {
+  for (const NamedInput& input : DifferentialInputs()) {
+    const size_t n = input.x.rows();
+    const std::vector<std::vector<double>> weightings = {
+        {}, IntegerWeights(n, 7)};
+    for (size_t max_features : {size_t{0}, input.x.cols()}) {
+      RandomForestOptions options;
+      options.num_trees = 8;
+      options.seed = 21;
+      options.tree.max_features = max_features;
+      for (size_t k = 0; k < weightings.size(); ++k) {
+        const std::vector<uint8_t> reference =
+            ReferenceForestState(options, TieOrder::kUnspecified, input.x,
+                                 input.y, weightings[k]);
+        for (int threads : {1, 4, 8}) {
+          options.num_threads = threads;
+          RandomForest forest(options);
+          forest.Fit(input.x, input.y, weightings[k]);
+          EXPECT_EQ(StateBytes(forest), reference)
+              << input.name << " weighting " << k << " threads " << threads
+              << " max_features " << max_features;
+        }
+      }
+    }
+  }
+}
+
+TEST(PresortedGrowthTest, RealWeightsFollowTheValueRowOrder) {
+  for (const NamedInput& input : DifferentialInputs()) {
+    const std::vector<double> weights = RealWeights(input.x.rows(), 8);
+    for (const DecisionTreeOptions& options : TreeOptionGrid(input.x.cols())) {
+      DecisionTree tree(options);
+      tree.Fit(input.x, input.y, weights);
+      EXPECT_EQ(StateBytes(tree),
+                ReferenceTreeState(options, TieOrder::kValueRow, input.x,
+                                   input.y, weights))
+          << input.name << " max_features " << options.max_features
+          << " max_depth " << options.max_depth;
+    }
+    RandomForestOptions options;
+    options.num_trees = 8;
+    const std::vector<uint8_t> reference = ReferenceForestState(
+        options, TieOrder::kValueRow, input.x, input.y, weights);
+    for (int threads : {1, 4, 8}) {
+      options.num_threads = threads;
+      RandomForest forest(options);
+      forest.Fit(input.x, input.y, weights);
+      EXPECT_EQ(StateBytes(forest), reference)
+          << input.name << " threads " << threads;
+    }
+  }
+}
+
+TEST(DecisionTreeDeathTest, ZeroMinSamplesSplitIsRefused) {
+  DecisionTreeOptions options;
+  options.min_samples_split = 0;
+  DecisionTree tree(options);
+  const Matrix x = {{0.1}, {0.9}};
+  const std::vector<int> y = {0, 1};
+  EXPECT_DEATH(tree.Fit(x, y), "min_samples_split");
 }
 
 TEST(NaiveBayesTest, SingleClassTrainingPredictsThatClass) {

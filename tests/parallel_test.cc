@@ -1,10 +1,9 @@
 // Tests for the deterministic parallel runtime: chunk planning, pool /
-// region mechanics, ordered reduction, per-chunk seed derivation, and
-// the end-to-end determinism contract — TransER reports, kNN answers
-// and sweep journals bit-identical at --threads 1, 2 and 8.
+// region mechanics, per-chunk seed derivation, and the end-to-end
+// determinism contract — TransER reports, kNN answers and sweep
+// journals bit-identical at --threads 1, 2 and 8.
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -144,32 +143,6 @@ TEST(ParallelForSeededTest, ChunkStreamsIgnoreThreadCount) {
   }
   EXPECT_EQ(draws_by_threads[0], draws_by_threads[1]);
   EXPECT_EQ(draws_by_threads[0], draws_by_threads[2]);
-}
-
-TEST(ParallelReduceTest, OrderedFoldIsBitIdenticalAcrossThreadCounts) {
-  // Floating-point addition is not associative, so an unordered fold
-  // would differ in the last bits between runs. The ordered combine must
-  // not.
-  const size_t n = 10007;
-  std::vector<double> reductions;
-  for (int threads : {1, 2, 8}) {
-    ParallelOptions options;
-    options.num_threads = threads;
-    auto sum = ParallelReduce<double>(
-        ExecutionContext::Unlimited(), "test", n, 0.0,
-        [&](size_t begin, size_t end, size_t /*chunk*/,
-            double* acc) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            *acc += std::sin(static_cast<double>(i)) * 1e-3;
-          }
-          return Status::OK();
-        },
-        [](double* into, double* part) { *into += *part; }, options);
-    ASSERT_TRUE(sum.ok());
-    reductions.push_back(sum.value());
-  }
-  EXPECT_EQ(reductions[0], reductions[1]);
-  EXPECT_EQ(reductions[0], reductions[2]);
 }
 
 // ---------- kNN determinism ----------

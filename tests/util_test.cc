@@ -97,6 +97,27 @@ TEST(RngTest, NextUint64BelowRespectsBound) {
   }
 }
 
+TEST(RngTest, NextUint64BelowMatchesPlainRejectionSampling) {
+  // The plain form: reject raw draws below 2^64 mod n, then reduce. Bounds
+  // above 2^63 reject about half their draws, so both paths run.
+  const uint64_t bounds[] = {1,
+                             17,
+                             33440,
+                             (uint64_t{1} << 63) + 1,
+                             ~uint64_t{0} - 2,
+                             ~uint64_t{0}};
+  for (uint64_t n : bounds) {
+    Rng rng(12);
+    Rng raw(12);
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t threshold = (-n) % n;
+      uint64_t r = raw.NextUint64();
+      while (r < threshold) r = raw.NextUint64();
+      ASSERT_EQ(rng.NextUint64Below(n), r % n) << "n = " << n;
+    }
+  }
+}
+
 TEST(RngTest, NextIntCoversRangeInclusive) {
   Rng rng(7);
   std::set<int> seen;
