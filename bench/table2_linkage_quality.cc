@@ -14,9 +14,6 @@
 //        completed cells and reproduces the identical table),
 //        --threads=N (worker lanes; default hardware width; the table
 //        is byte-identical for every value),
-//        --warm-start=<dir> (existing directory for per-cell model
-//        snapshots; re-running with the same flags warm-starts each
-//        TransER cell from its snapshot instead of retraining),
 //        --knn-backend=kdtree|brute|ann (SEL neighbour index; ann is the
 //        recall-knobbed navigable graph), --recall=R, --ef-search=N
 //        (graph beam knobs; see knn/ann_graph.h),
@@ -49,8 +46,7 @@ int Main(int argc, char** argv) {
   const Flags flags(argc, argv,
                            {"scale", "seed", "time-limit",
                             "memory-limit-mb", "checkpoint", "threads",
-                            "warm-start", "knn-backend", "recall",
-                            "ef-search"});
+                            "knn-backend", "recall", "ef-search"});
   const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("table2", threads);
   ScenarioScale scale;
@@ -102,7 +98,6 @@ int Main(int argc, char** argv) {
   sweep_options.checkpoint_path = checkpoint_path;
   sweep_options.base_options = run_options;
   sweep_options.cell_limits = cell_limits;
-  sweep_options.warm_start_dir = flags.GetString("warm-start", "");
   Stopwatch sweep_watch;
   auto sweep = RunCheckpointedSweep(methods, scenarios,
                                     DefaultClassifierSuite(), sweep_options);

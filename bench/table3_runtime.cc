@@ -11,8 +11,6 @@
 //        completed cells),
 //        --threads=N (worker lanes; default hardware width),
 //        --skip-speedup (omit the single-threaded reference run),
-//        --warm-start=<dir> (existing directory for per-cell model
-//        snapshots; re-running warm-starts instead of retraining),
 //        --knn-backend=kdtree|brute|ann (SEL neighbour index; ann is the
 //        recall-knobbed navigable graph), --recall=R, --ef-search=N
 //        (graph beam knobs; see knn/ann_graph.h),
@@ -44,8 +42,8 @@ int Main(int argc, char** argv) {
   const Flags flags(argc, argv,
                            {"scale", "seed", "time-limit",
                             "memory-limit-mb", "checkpoint", "threads",
-                            "skip-speedup", "warm-start", "knn-backend",
-                            "recall", "ef-search"});
+                            "skip-speedup", "knn-backend", "recall",
+                            "ef-search"});
   const int threads = ConfigureThreads(flags);
   bench::BenchReport bench_report("table3", threads);
   ScenarioScale scale;
@@ -90,7 +88,6 @@ int Main(int argc, char** argv) {
   sweep_options.checkpoint_path = flags.GetString("checkpoint", "");
   sweep_options.base_options = run_options;
   sweep_options.cell_limits = cell_limits;
-  sweep_options.warm_start_dir = flags.GetString("warm-start", "");
   Stopwatch sweep_watch;
   auto sweep = RunCheckpointedSweep(methods, scenarios,
                                     DefaultClassifierSuite(), sweep_options);

@@ -24,14 +24,11 @@
 // absent means the hardware width. Predictions are bit-identical for
 // every value.
 //
-// --save-model snapshots the trained pipeline state (checksummed,
-// atomically written) after the GEN and TCL phases. --load-model
-// warm-starts from such a snapshot: with --source present, a compatible
-// snapshot skips the already-done phases (an incompatible or corrupt one
-// is rejected with a diagnostics event and the run retrains), and since
-// the run rewrites the snapshot, --save-model must name the same file;
-// without --source the tool serves predictions straight from the
-// snapshot's classifier and never trains at all.
+// --save-model writes the trained pipeline (checksummed, atomically) once
+// a training run succeeds, replacing whatever the file held; a run never
+// reads it. --load-model only serves: it predicts with a saved
+// pipeline's final classifier and never trains, so it takes neither
+// --source nor --save-model (exit 2 before any I/O).
 //
 // Exit codes:
 //   0  success
@@ -170,10 +167,10 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "running away. 0 (the default) means unlimited. Seconds must be\n"
       "finite and >= 0; megabytes an integer >= 0. Anything else exits 2.\n"
       "\n"
-      "--save-model snapshots the trained pipeline after GEN and TCL.\n"
-      "--load-model without --source serves predictions from a snapshot.\n"
-      "With --source it warm-starts from a compatible snapshot and then\n"
-      "rewrites it, so --save-model must name the same file.\n"
+      "--save-model writes the trained pipeline once the run succeeds,\n"
+      "replacing the file; a run never reads it. --load-model only\n"
+      "serves predictions from a saved pipeline: it takes neither\n"
+      "--source nor --save-model.\n"
       "\n"
       "exit codes:\n"
       "  0  success\n"
@@ -231,25 +228,16 @@ int Main(int argc, char** argv) {
   const std::string save_model = flags.GetString("save-model", "");
   const std::string load_model = flags.GetString("load-model", "");
   const std::string out_path = flags.GetString("out", "");
-  // Serving mode: a snapshot replaces the source domain entirely.
-  const bool serving = !load_model.empty() && source_path.empty();
+  // Serving mode: a saved pipeline replaces the source domain entirely.
+  const bool serving = !load_model.empty();
+  if (serving && (!source_path.empty() || !save_model.empty())) {
+    std::fprintf(stderr,
+                 "--load-model only serves a saved pipeline: it takes "
+                 "neither --source nor --save-model\n");
+    return 2;
+  }
   if (target_path.empty() || (source_path.empty() && !serving)) {
     PrintUsage(stderr, argv[0]);
-    return 2;
-  }
-  if (!save_model.empty() && !load_model.empty() && save_model != load_model) {
-    std::fprintf(stderr,
-                 "--save-model and --load-model must name the same file "
-                 "when both are given\n");
-    return 2;
-  }
-  // A training run writes its snapshot back to the file it warm-started
-  // from, so it must be asked for explicitly.
-  if (!source_path.empty() && !load_model.empty() && save_model.empty()) {
-    std::fprintf(stderr,
-                 "--load-model with --source rewrites the snapshot after "
-                 "GEN and TCL: pass --save-model=%s as well\n",
-                 load_model.c_str());
     return 2;
   }
 
@@ -386,12 +374,6 @@ int Main(int argc, char** argv) {
               target.value().size());
   std::printf("SEL kept %zu; TCL trained on %zu balanced instances\n",
               report.selected_instances, report.balanced_instances);
-  if (report.served_from_snapshot) {
-    std::printf("served predictions from snapshot %s\n", save_model.c_str());
-  } else if (report.warm_started) {
-    std::printf("warm-started after GEN from snapshot %s\n",
-                save_model.c_str());
-  }
   report.diagnostics.Merge(ingest_diag);
   std::printf("diagnostics: %s\n", report.diagnostics.Summary().c_str());
 
@@ -401,7 +383,7 @@ int Main(int argc, char** argv) {
 
   // An explicitly requested snapshot that could not be written is an
   // artifact error the caller must see (the predictions above are still
-  // valid — the next run just cannot warm-start).
+  // valid — there is just nothing to serve from).
   if (!save_model.empty() &&
       report.diagnostics.HasKind(DegradationKind::kModelSaveFailed)) {
     std::fprintf(stderr, "model snapshot could not be written to %s\n",

@@ -15,7 +15,6 @@
 //       [--segment-mb=8] [--max-journal-mb=0]
 //       [--segment-bytes=N] [--max-journal-bytes=N]
 //       [--knn-backend=kdtree|ann] [--recall=0.95]
-//       [--bench-out=<BENCH_stream.json path>]
 //       [--crash-after=<seq>
 //        --crash-point=append|apply|rotate|snapshot|retain]
 //       [--threshold=0.75] [--help] [--version]
@@ -38,8 +37,7 @@
 // bit-identical to --writers=1 by construction. --segment-mb /
 // --max-journal-mb size the journal segments and the retention disk
 // budget (0 = unbounded); the *-bytes variants override them for tests
-// that need sub-MB granularity. --bench-out writes a perf sidecar with
-// the measured ingest throughput.
+// that need sub-MB granularity.
 //
 // Output (stdout): a telemetry JSON line
 //   {"schema":"transer.stream_ingest", "segments":..., "live_bytes":...,
@@ -62,7 +60,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/perf_sidecar.h"
 #include "data/record.h"
 #include "stream/stream_ingestor.h"
 #include "util/flags.h"
@@ -138,7 +135,6 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "    [--segment-mb=8] [--max-journal-mb=0]\n"
       "    [--segment-bytes=N] [--max-journal-bytes=N]\n"
       "    [--knn-backend=kdtree|ann] [--recall=0.95]\n"
-      "    [--bench-out=<BENCH_stream.json path>]\n"
       "    [--crash-after=<seq>\n"
       "     --crash-point=append|apply|rotate|snapshot|retain]\n"
       "    [--help] [--version]\n"
@@ -152,8 +148,8 @@ int Run(int argc, char** argv) {
       {"dir", "count", "seed", "snapshot-every", "refresh-every",
        "rebuild-every", "threads", "publish-dir", "poison-every", "writers",
        "threshold", "segment-mb", "max-journal-mb", "segment-bytes",
-       "max-journal-bytes", "knn-backend", "recall", "bench-out",
-       "crash-after", "crash-point", "help", "version"});
+       "max-journal-bytes", "knn-backend", "recall", "crash-after",
+       "crash-point", "help", "version"});
   if (flags.GetBool("help", false)) {
     PrintUsage(stdout, argv[0]);
     return 0;
@@ -175,7 +171,6 @@ int Run(int argc, char** argv) {
     return 2;
   }
   const size_t writers = flags.GetCount<size_t>("writers", 1, 1);
-  const std::string bench_out = flags.GetString("bench-out", "");
 
   stream::StreamIngestorOptions options;
   options.directory = dir;
@@ -287,33 +282,6 @@ int Run(int argc, char** argv) {
   }
   const stream::StreamResolver& resolver = ingestor.resolver();
   const stream::JournalStats stats = ingestor.journal_stats();
-
-  if (!bench_out.empty()) {
-    bench::PerfSidecar sidecar;
-    sidecar.threads = static_cast<int>(writers);
-    bench::PerfEntry entry;
-    entry.name = "stream_ingest";
-    entry.threads = static_cast<int>(writers);
-    entry.ns_per_op =
-        remaining > 0 ? ingest_seconds * 1e9 / static_cast<double>(remaining)
-                      : 0.0;
-    entry.ops_per_sec =
-        entry.ns_per_op > 0.0 ? 1e9 / entry.ns_per_op : 0.0;
-    sidecar.entries.push_back(entry);
-    sidecar.extras.emplace_back("ingested_records",
-                                static_cast<double>(remaining));
-    sidecar.extras.emplace_back("journal_segments",
-                                static_cast<double>(stats.segments));
-    sidecar.extras.emplace_back("journal_live_bytes",
-                                static_cast<double>(stats.live_bytes));
-    sidecar.extras.emplace_back("retention_stalls",
-                                static_cast<double>(stats.retention_stalls));
-    sidecar.extras.emplace_back("segments_dropped",
-                                static_cast<double>(stats.segments_dropped));
-    sidecar.extras.emplace_back("snapshots",
-                                static_cast<double>(ingestor.snapshot_count()));
-    if (!bench::WritePerfSidecar(bench_out, sidecar)) return 1;
-  }
 
   // Telemetry line first; the digest line below must stay LAST — the
   // crash matrix parses the final stdout line.

@@ -32,17 +32,6 @@ struct SweepGroup {
   size_t method_index = 0;
 };
 
-/// Filesystem-safe rendering of a cell key for its model snapshot file.
-std::string SnapshotFileName(const SweepCellKey& key) {
-  std::string name = key.method + "_" + key.scenario + "_" + key.classifier;
-  for (char& c : name) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == '-';
-    if (!safe) c = '_';
-  }
-  return name + ".tera";
-}
-
 std::string DescribeLimits(const ExecutionLimits& limits) {
   return StrFormat("a %gs / %zu-byte cell budget", limits.time_limit_seconds,
                    limits.memory_limit_bytes);
@@ -171,10 +160,6 @@ Result<std::vector<MethodScenarioResult>> RunSweep(
       run_options.seed = cell_seed;
       run_options.context = &cell_context;
       run_options.diagnostics = &group_run_diag[g];
-      if (!options.warm_start_dir.empty()) {
-        run_options.model_snapshot_path =
-            options.warm_start_dir + "/" + SnapshotFileName(key);
-      }
       Stopwatch cell_watch;
       auto predicted = method.Run(scenario.source, unlabeled_target,
                                   family.make, run_options);

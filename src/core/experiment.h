@@ -66,11 +66,6 @@ struct SweepOptions {
   ExecutionLimits cell_limits;
   /// Sink for sweep-level events (checkpoint tail drops, cell retries).
   RunDiagnostics* diagnostics = nullptr;
-  /// When non-empty, each cell runs with a per-cell model snapshot path
-  /// (`<dir>/<method>_<scenario>_<classifier>.tera`) so methods that
-  /// support snapshots (TransER) warm-start on resume instead of
-  /// retraining. The directory must already exist.
-  std::string warm_start_dir;
 };
 
 /// \brief Runs every (method x scenario x classifier) cell of a

@@ -30,34 +30,6 @@ Matrix NeighbourhoodCovariance(const Matrix& points,
   return SampleCovarianceOfRows(points, rows);
 }
 
-/// A snapshot may only replace training when it was taken by an
-/// equivalent run: same seed, same domain sizes, same feature schema.
-/// Anything else would silently change the experiment's results.
-Status SnapshotCompatibleWithRun(const TransERPipelineState& state,
-                                 const FeatureMatrix& source,
-                                 const FeatureMatrix& target, uint64_t seed) {
-  if (state.seed != seed) {
-    return Status::FailedPrecondition(
-        StrFormat("snapshot was taken under seed %llu, run uses %llu",
-                  static_cast<unsigned long long>(state.seed),
-                  static_cast<unsigned long long>(seed)));
-  }
-  if (state.source_rows != source.size() ||
-      state.target_rows != target.size()) {
-    return Status::FailedPrecondition(StrFormat(
-        "snapshot domains (%llu source / %llu target rows) differ from the "
-        "run's (%zu / %zu)",
-        static_cast<unsigned long long>(state.source_rows),
-        static_cast<unsigned long long>(state.target_rows), source.size(),
-        target.size()));
-  }
-  if (state.feature_names != target.feature_names()) {
-    return Status::FailedPrecondition(
-        "snapshot feature schema differs from the run's data");
-  }
-  return Status::OK();
-}
-
 /// SEL's parallel schedule: `num_threads` lanes (0 = process default),
 /// chunks of at least 8 source instances, budget outcomes recorded in
 /// `diagnostics` (may be null).
@@ -438,6 +410,33 @@ Result<std::unique_ptr<Classifier>> TrainTargetClassifier(
   return classifier;
 }
 
+/// Writes the finished run's pipeline artifact atomically to
+/// run_options.model_snapshot_path: SEL's selection, GEN's pseudo labels
+/// and C^U, C^V when TCL trained, and the domain it was adapted to. A
+/// failed write degrades (the run's answer is unaffected) rather than
+/// failing the run.
+void SavePipelineArtifact(const AlgorithmRun& run,
+                          TransERPipelineState* state) {
+  const std::string& path = run.run_options.model_snapshot_path;
+  state->feature_names = run.target.feature_names();
+  state->seed = run.run_options.seed;
+  state->source_rows = run.source.size();
+  state->target_rows = run.target.size();
+  // Domain profile: the per-feature target mean, so the serving
+  // repository can run its SEL-style similarity probe against incoming
+  // domains without the training data.
+  state->target_centroid = ColumnMeans(run.x_target);
+  state->classifier_name = state->classifier_u->name();
+  const Status saved = SaveTransERPipelineState(*state, path);
+  if (!saved.ok()) {
+    run.report->diagnostics.Add(
+        DegradationKind::kModelSaveFailed, "save",
+        StrFormat("snapshot save to %s failed: %s", path.c_str(),
+                  saved.message().c_str()),
+        0.0, 0.0);
+  }
+}
+
 }  // namespace
 
 TransER::TransER(TransEROptions options) : options_(options) {
@@ -483,127 +482,37 @@ Result<std::vector<int>> TransER::RunWithReport(
 
   TransERReport local_report;
   local_report.source_instances = source.size();
-  RunDiagnostics& diag = local_report.diagnostics;
-  // Publishes the report (and merges events into the caller's sink) on
-  // every return path.
-  auto publish = [&]() {
-    if (run_options.diagnostics != nullptr) {
-      run_options.diagnostics->Merge(diag);
-    }
-    if (report != nullptr) *report = local_report;
-  };
-
   const Matrix x_target = target.ToMatrix();
   const AlgorithmRun run{options_, source, target, x_target,
                          make_classifier, run_options, context,
                          &local_report};
-  const std::string& snapshot_path = run_options.model_snapshot_path;
 
-  // `snap` accumulates the run's durable state: the snapshot of record
-  // after GEN (selection, pseudo labels, C^U) and after TCL (plus C^V).
-  TransERPipelineState snap;
-  snap.feature_names = target.feature_names();
-  snap.seed = run_options.seed;
-  snap.source_rows = source.size();
-  snap.target_rows = target.size();
-  // Domain profile: the per-feature target mean, stored in the snapshot
-  // so the serving repository can run its SEL-style similarity probe
-  // against incoming domains without the training data.
-  const std::vector<double> target_centroid = ColumnMeans(x_target);
-  snap.target_centroid = target_centroid;
-  // Persists the current state atomically; a failed write degrades (the
-  // run's answer is unaffected) rather than failing the run.
-  auto save_snapshot = [&](const char* phase) {
-    if (snapshot_path.empty()) return;
-    snap.classifier_name =
-        snap.classifier_u != nullptr ? snap.classifier_u->name() : "";
-    const Status saved = SaveTransERPipelineState(snap, snapshot_path);
-    if (!saved.ok()) {
-      diag.Add(DegradationKind::kModelSaveFailed, phase,
-               StrFormat("snapshot save to %s failed: %s",
-                         snapshot_path.c_str(), saved.message().c_str()),
-               0.0, 0.0);
-    }
-  };
-
-  // --- Optional warm start from a previous run's snapshot ---
-  bool resume_after_gen = false;
-  if (!snapshot_path.empty()) {
-    auto loaded = LoadTransERPipelineState(snapshot_path);
-    if (!loaded.ok()) {
-      // A missing snapshot is the normal cold-start case; anything else
-      // is a rejected artifact the run recovers from by retraining.
-      if (loaded.status().code() != StatusCode::kNotFound) {
-        diag.Add(DegradationKind::kModelArtifactRejected, "warm_start",
-                 StrFormat("snapshot at %s rejected: %s",
-                           snapshot_path.c_str(),
-                           loaded.status().ToString().c_str()),
-                 0.0, 0.0);
-      }
-    } else {
-      const Status compatible = SnapshotCompatibleWithRun(
-          loaded.value(), source, target, run_options.seed);
-      if (!compatible.ok()) {
-        diag.Add(DegradationKind::kModelArtifactRejected, "warm_start",
-                 StrFormat("snapshot at %s is incompatible: %s",
-                           snapshot_path.c_str(),
-                           compatible.message().c_str()),
-                 0.0, 0.0);
-      } else {
-        snap = std::move(loaded).value();
-        // Older snapshots carry no domain profile; refresh it so any
-        // snapshot this run re-saves is probe-eligible.
-        snap.target_centroid = target_centroid;
-        local_report.selected_instances = snap.selected_indices.size();
-        local_report.warm_started = true;
-        if (snap.classifier_v != nullptr && options_.use_gen_tcl) {
-          // Fully trained snapshot: serve C^V's predictions directly.
-          size_t pseudo_matches = 0;
-          for (int label : snap.pseudo_labels) {
-            if (label == kMatch) ++pseudo_matches;
-          }
-          local_report.pseudo_matches = pseudo_matches;
-          local_report.tcl_trained = true;
-          local_report.served_from_snapshot = true;
-          diag.Add(DegradationKind::kModelWarmStarted, "warm_start",
-                   "serving predictions from the snapshot's C^V", 0.0, 0.0);
-          publish();
-          return snap.classifier_v->PredictAll(x_target);
-        }
-        diag.Add(DegradationKind::kModelWarmStarted, "warm_start",
-                 "resuming after GEN from the snapshot", 0.0, 0.0);
-        resume_after_gen = true;
-      }
-    }
+  // The run's pipeline state: SEL's selection, GEN's pseudo labels and
+  // C^U, then C^V when TCL trains. A failure returns before anything is
+  // saved or published.
+  TransERPipelineState state;
+  TRANSER_ASSIGN_OR_RETURN(const FeatureMatrix transferred,
+                           SelectTransferable(run, &state));
+  TRANSER_RETURN_IF_ERROR(GeneratePseudoLabels(run, transferred, &state));
+  if (options_.use_gen_tcl) {
+    TRANSER_ASSIGN_OR_RETURN(
+        state.classifier_v,
+        TrainTargetClassifier(run, state.pseudo_labels,
+                              state.pseudo_confidences));
   }
-
-  if (!resume_after_gen) {
-    TRANSER_ASSIGN_OR_RETURN(const FeatureMatrix transferred,
-                             SelectTransferable(run, &snap));
-    TRANSER_RETURN_IF_ERROR(GeneratePseudoLabels(run, transferred, &snap));
-    // The GEN state is the expensive part of the run; snapshot it so a
-    // later run (or a crash recovery) can resume at TCL.
-    save_snapshot("gen");
+  // Without GEN & TCL (the ablation), or when TCL's ladder ran out, C^U's
+  // pseudo labels are the answer.
+  std::vector<int> predicted = state.classifier_v != nullptr
+                                   ? state.classifier_v->PredictAll(x_target)
+                                   : state.pseudo_labels;
+  if (!run_options.model_snapshot_path.empty()) {
+    SavePipelineArtifact(run, &state);
   }
-
-  if (!options_.use_gen_tcl) {
-    // Ablation "without GEN & TCL": classify the target directly with the
-    // classifier trained on the transferred instances.
-    publish();
-    return snap.pseudo_labels;
+  if (run_options.diagnostics != nullptr) {
+    run_options.diagnostics->Merge(local_report.diagnostics);
   }
-  TRANSER_ASSIGN_OR_RETURN(
-      snap.classifier_v,
-      TrainTargetClassifier(run, snap.pseudo_labels,
-                            snap.pseudo_confidences));
-  if (snap.classifier_v == nullptr) {
-    publish();  // TCL skipped by its ladder
-    return snap.pseudo_labels;
-  }
-  // Snapshot of record now carries C^V: later runs serve directly.
-  save_snapshot("tcl");
-  publish();
-  return snap.classifier_v->PredictAll(x_target);
+  if (report != nullptr) *report = std::move(local_report);
+  return predicted;
 }
 
 Result<std::vector<int>> TransER::Run(

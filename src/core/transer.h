@@ -52,12 +52,6 @@ struct TransERReport {
   size_t balanced_instances = 0;   ///< |X^V_b| after under-sampling
   size_t pseudo_matches = 0;       ///< matches among the pseudo labels
   bool tcl_trained = false;        ///< false when the fallback fired
-  /// True when a model snapshot supplied the GEN state, skipping SEL and
-  /// GEN (see TransferRunOptions::model_snapshot_path).
-  bool warm_started = false;
-  /// True when the snapshot already held the trained C^V and the run
-  /// served its predictions without any training at all.
-  bool served_from_snapshot = false;
   /// Structured record of every deviation from the nominal algorithm
   /// (threshold relaxations, fallbacks, skipped phases). Supersedes
   /// inspecting `tcl_trained` alone.

@@ -15,8 +15,8 @@ namespace transer {
 /// \file
 /// Crash-safe persistence for trained models, built on util/artifact_io.
 /// The store writes one artifact kind, the TransER pipeline snapshot:
-/// it warm-starts runs, seeds the stream and fills the serving
-/// repository. Every artifact is written atomically (temp + fsync +
+/// a TransER run writes it, and it seeds the stream and fills the
+/// serving repository. Every artifact is written atomically (temp + fsync +
 /// rename), carries the feature-schema fingerprint it was trained
 /// against, and is CRC-framed, so loads either succeed bit-exactly or
 /// fail with a clean status — never a crash or a silent misprediction
@@ -38,12 +38,12 @@ inline constexpr char kPipelineArtifactKind[] = "transer_pipeline";
 Result<std::unique_ptr<Classifier>> MakeClassifierByName(
     const std::string& name, const KnnBackendOptions* knn = nullptr);
 
-/// \brief Snapshot of a TransER run after GEN (and optionally TCL):
-/// everything needed to warm-start target training or serve predictions
-/// without touching the source data again (Algorithm 1 state).
+/// \brief The pipeline artifact of a finished TransER run: the state of
+/// Algorithm 1 after GEN, plus C^V when TCL trained — everything needed
+/// to serve predictions without touching the source data again.
 struct TransERPipelineState {
   std::vector<std::string> feature_names;  ///< target schema
-  uint64_t seed = 0;                       ///< RunOptions seed of the run
+  uint64_t seed = 0;                       ///< the writing run's seed
   uint64_t source_rows = 0;                ///< pair count of the source
   uint64_t target_rows = 0;                ///< pair count of the target
   /// SEL output: indices of the transferred source instances.
@@ -63,8 +63,8 @@ struct TransERPipelineState {
   /// C^U, trained on the transferred source instances (always present in
   /// a valid snapshot).
   std::unique_ptr<Classifier> classifier_u;
-  /// C^V, trained on pseudo-labelled target instances; null when the
-  /// snapshot was taken before TCL finished.
+  /// C^V, trained on pseudo-labelled target instances; null when TCL
+  /// did not train (its ladder ran out, or the GEN & TCL ablation).
   std::unique_ptr<Classifier> classifier_v;
 };
 

@@ -17,8 +17,8 @@ namespace fs = std::filesystem;
 namespace {
 
 /// Deterministic preference order among fingerprint-equal candidates:
-/// a trained C^V beats resume-only state, newer beats older, and the
-/// id breaks exact ties so two scans always agree.
+/// an artifact with C^V beats one with C^U alone, newer beats older,
+/// and the id breaks exact ties so two scans always agree.
 bool BetterCandidate(const RepositoryModel& a, const RepositoryModel& b) {
   if (a.has_classifier_v != b.has_classifier_v) return a.has_classifier_v;
   if (a.mtime_ticks != b.mtime_ticks) return a.mtime_ticks > b.mtime_ticks;

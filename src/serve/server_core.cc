@@ -290,8 +290,8 @@ Response ServerCore::HandleData(const Request& request, double deadline_ms,
   response.probe_similarity = selection.probe_similarity;
 
   // Serve from C^V when the snapshot has one (the fully trained
-  // pipeline — bit-identical to a cold TransER::Run warm-serve), else
-  // from C^U (the post-GEN state; still a valid classifier).
+  // pipeline — bit-identical to the TransER::Run that wrote it), else
+  // from C^U (TCL did not train; still a valid classifier).
   const Classifier* classifier = model.state->classifier_v != nullptr
                                      ? model.state->classifier_v.get()
                                      : model.state->classifier_u.get();

@@ -34,13 +34,13 @@ struct TransferRunOptions {
   /// Never null. Not owned.
   const ExecutionContext* context = &ExecutionContext::Unlimited();
   /// When non-empty, methods that support model snapshots (currently
-  /// TransER) persist their trained state to this path after each phase
-  /// and warm-start from a compatible snapshot found there: a snapshot
-  /// with the final classifier serves predictions directly, one with
-  /// only the pseudo-label state resumes at TCL. Incompatible or corrupt
-  /// snapshots are rejected with a kModelArtifactRejected event and the
-  /// run retrains from scratch; a failed save records kModelSaveFailed
-  /// and never fails the run.
+  /// TransER) write their trained pipeline artifact to this path once,
+  /// atomically, when the run succeeds; a failed run leaves the path as
+  /// it was. The run never reads the path: it trains whatever the file
+  /// holds. A failed save records one kModelSaveFailed event and never
+  /// fails the run. Trained artifacts are read back only by the explicit
+  /// readers: `transer_csv_tool --load-model`, serve::ModelRepository
+  /// and StreamResolverOptions::warm_start_path.
   std::string model_snapshot_path;
   /// Nearest-neighbour index behind the SEL neighbourhood scans.
   /// kKdTree (the default) and kBruteForce are exact and bit-identical

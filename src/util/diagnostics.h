@@ -23,7 +23,7 @@ enum class DegradationKind {
   kRunCancelled,          ///< cancellation token fired mid-run
   kCheckpointTailDropped, ///< corrupt trailing journal line(s) truncated
   kCheckpointCellRetried, ///< transiently failed sweep cell re-run on resume
-  kModelWarmStarted,      ///< phases skipped by restoring a model snapshot
+  kModelWarmStarted,      ///< stream classifier restored from an artifact
   kModelArtifactRejected, ///< saved model unusable (corrupt/incompatible)
   kModelSaveFailed,       ///< snapshot write failed; run continued unsaved
   kServeRequestShed,      ///< serving: request shed (queue full / draining)

@@ -1,8 +1,8 @@
 // Tests for the crash-safe model artifact store: bit-identical pipeline
 // snapshot round-trips for every registry classifier family, integrity
 // rejection of truncated / bit-flipped / re-stamped / foreign files,
-// and the TransER warm-start / serve / fall-back-to-retraining
-// semantics.
+// and TransER's write-only artifact path: a run always trains, writes
+// once at the end, and never reads what the path holds.
 
 #include <cmath>
 #include <cstdio>
@@ -350,7 +350,7 @@ TEST(PipelineSnapshotTest, EveryByteFlipOfSnapshotIsRejected) {
   std::remove(mutated.c_str());
 }
 
-// ---------- TransER warm start / serve / fall back ----------
+// ---------- TransER writes its artifact and never reads it ----------
 
 struct TransferPair {
   FeatureMatrix source;
@@ -375,157 +375,165 @@ ClassifierFactory LrFactory() {
   };
 }
 
-TEST(WarmStartTest, ServeAndResumeMatchColdRunExactly) {
+/// What the snapshot path holds before a TransER run writes it.
+enum class PriorArtifact {
+  kNothing,
+  kCompleteRandomForest,  ///< a complete RF artifact, same data and seed
+  kWithoutCv,             ///< the run's own artifact with C^V dropped
+  kFlippedByte,           ///< the run's own artifact with one byte flipped
+  kForeignSchema,         ///< the run's own artifact under another schema
+};
+
+std::string PriorArtifactName(
+    const ::testing::TestParamInfo<PriorArtifact>& info) {
+  switch (info.param) {
+    case PriorArtifact::kNothing:
+      return "Nothing";
+    case PriorArtifact::kCompleteRandomForest:
+      return "CompleteRandomForest";
+    case PriorArtifact::kWithoutCv:
+      return "WithoutCv";
+    case PriorArtifact::kFlippedByte:
+      return "FlippedByte";
+    case PriorArtifact::kForeignSchema:
+      return "ForeignSchema";
+  }
+  return "Unknown";
+}
+
+using ArtifactNeverReadTest = ::testing::TestWithParam<PriorArtifact>;
+
+// Whatever the path holds, an LR run trains SEL -> GEN -> TCL: it answers
+// as a run with no path does, records no warm-start or rejection event,
+// and leaves the bytes it writes onto an empty path.
+TEST_P(ArtifactNeverReadTest, RunTrainsAndOverwritesWhateverThePathHolds) {
   const TransferPair pair = MakePair(91);
-  const std::string path = TempPath("warmstart.tera");
-  std::remove(path.c_str());
-  TransER transer;
+  const FeatureMatrix target = pair.target.WithoutLabels();
+  const TransER transer;
   TransferRunOptions options;
   options.seed = 7;
-  options.model_snapshot_path = path;
+  auto reference = transer.Run(pair.source, target, LrFactory(), options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  // Cold run: trains everything, snapshots after GEN and after TCL.
-  TransERReport cold_report;
-  auto cold = transer.RunWithReport(pair.source,
-                                    pair.target.WithoutLabels(),
-                                    LrFactory(), options, &cold_report);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_FALSE(cold_report.warm_started);
+  const std::string fresh = TempPath("never_read_fresh.tera");
+  std::remove(fresh.c_str());
+  options.model_snapshot_path = fresh;
+  ASSERT_TRUE(transer.Run(pair.source, target, LrFactory(), options).ok());
+  std::vector<uint8_t> fresh_bytes;
+  ASSERT_TRUE(fault::ReadFileBytes(fresh, &fresh_bytes).ok());
 
-  // Second run finds the complete snapshot and serves from C^V without
-  // training; predictions are bit-identical.
-  TransERReport serve_report;
-  auto served = transer.RunWithReport(pair.source,
-                                      pair.target.WithoutLabels(),
-                                      LrFactory(), options, &serve_report);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_TRUE(serve_report.served_from_snapshot);
-  EXPECT_TRUE(
-      serve_report.diagnostics.HasKind(DegradationKind::kModelWarmStarted));
-  EXPECT_EQ(cold.value(), served.value());
-
-  // Strip C^V to emulate a crash between GEN and TCL: the next run
-  // resumes at TCL from the stored pseudo labels and still reproduces
-  // the cold predictions exactly (TCL re-seeds from the run seed).
-  auto snapshot = LoadTransERPipelineState(path);
-  ASSERT_TRUE(snapshot.ok());
-  TransERPipelineState partial = std::move(snapshot).value();
-  partial.classifier_v.reset();
-  ASSERT_TRUE(SaveTransERPipelineState(partial, path).ok());
-
-  TransERReport resume_report;
-  auto resumed = transer.RunWithReport(pair.source,
-                                       pair.target.WithoutLabels(),
-                                       LrFactory(), options, &resume_report);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resume_report.warm_started);
-  EXPECT_FALSE(resume_report.served_from_snapshot);
-  EXPECT_EQ(cold.value(), resumed.value());
+  const std::string path = TempPath("never_read.tera");
   std::remove(path.c_str());
-}
+  switch (GetParam()) {
+    case PriorArtifact::kNothing:
+      break;
+    case PriorArtifact::kCompleteRandomForest: {
+      TransferRunOptions rf = options;
+      rf.model_snapshot_path = path;
+      ASSERT_TRUE(transer
+                      .Run(pair.source, target,
+                           [] { return std::make_unique<RandomForest>(); },
+                           rf)
+                      .ok());
+      auto written = LoadTransERPipelineState(path);
+      ASSERT_TRUE(written.ok()) << written.status().ToString();
+      ASSERT_NE(written.value().classifier_v, nullptr);
+      ASSERT_EQ(written.value().classifier_name, "random_forest");
+      break;
+    }
+    case PriorArtifact::kWithoutCv: {
+      auto loaded = LoadTransERPipelineState(fresh);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      TransERPipelineState partial = std::move(loaded).value();
+      partial.classifier_v.reset();
+      ASSERT_TRUE(SaveTransERPipelineState(partial, path).ok());
+      break;
+    }
+    case PriorArtifact::kFlippedByte:
+      ASSERT_TRUE(fault::WriteFileBytes(path, fresh_bytes).ok());
+      ASSERT_TRUE(fault::FlipFileByte(path, fresh_bytes.size() / 2).ok());
+      break;
+    case PriorArtifact::kForeignSchema: {
+      auto loaded = LoadTransERPipelineState(fresh);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      TransERPipelineState foreign = std::move(loaded).value();
+      for (std::string& name : foreign.feature_names) name += "_other";
+      ASSERT_TRUE(SaveTransERPipelineState(foreign, path).ok());
+      break;
+    }
+  }
 
-TEST(WarmStartTest, IncompatibleSnapshotIsIgnoredWithEvent) {
-  const TransferPair pair = MakePair(92);
-  const std::string path = TempPath("warmstart_incompat.tera");
-  std::remove(path.c_str());
-  TransER transer;
-  TransferRunOptions options;
-  options.seed = 7;
   options.model_snapshot_path = path;
-
-  TransERReport cold_report;
-  auto cold = transer.RunWithReport(pair.source,
-                                    pair.target.WithoutLabels(),
-                                    LrFactory(), options, &cold_report);
-  ASSERT_TRUE(cold.ok());
-
-  // A different seed breaks the compatibility contract: the run must
-  // retrain (recording the rejection) and match its own cold result.
-  TransferRunOptions other_seed = options;
-  other_seed.seed = 8;
   TransERReport report;
-  auto rerun = transer.RunWithReport(pair.source,
-                                     pair.target.WithoutLabels(),
-                                     LrFactory(), other_seed, &report);
-  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-  EXPECT_FALSE(report.warm_started);
-  EXPECT_TRUE(
-      report.diagnostics.HasKind(DegradationKind::kModelArtifactRejected));
-  std::remove(path.c_str());
-}
-
-TEST(WarmStartTest, SnapshotFromAnotherSchemaIsRejectedAndRetrained) {
-  const TransferPair pair = MakePair(94);
-  const std::string path = TempPath("warmstart_schema.tera");
-  std::remove(path.c_str());
-  TransER transer;
-  TransferRunOptions options;
-  options.seed = 7;
-  options.model_snapshot_path = path;
-
-  TransERReport cold_report;
-  auto cold = transer.RunWithReport(pair.source,
-                                    pair.target.WithoutLabels(),
-                                    LrFactory(), options, &cold_report);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-
-  // Re-publish the complete snapshot bound to another feature schema of
-  // the same width: seed and domain sizes still agree with the run, so
-  // only the schema binding can refuse it.
-  auto snapshot = LoadTransERPipelineState(path);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  TransERPipelineState foreign = std::move(snapshot).value();
-  ASSERT_NE(foreign.classifier_v, nullptr);
-  for (std::string& name : foreign.feature_names) name += "_other";
-  ASSERT_TRUE(SaveTransERPipelineState(foreign, path).ok());
-
-  TransERReport report;
-  auto rerun = transer.RunWithReport(pair.source,
-                                     pair.target.WithoutLabels(),
-                                     LrFactory(), options, &report);
-  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-  EXPECT_FALSE(report.warm_started);
-  EXPECT_FALSE(report.served_from_snapshot);
-  EXPECT_TRUE(
-      report.diagnostics.HasKind(DegradationKind::kModelArtifactRejected));
+  auto run =
+      transer.RunWithReport(pair.source, target, LrFactory(), options, &report);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run.value(), reference.value());
+  EXPECT_TRUE(report.tcl_trained);
   EXPECT_FALSE(report.diagnostics.HasKind(DegradationKind::kModelWarmStarted));
-  EXPECT_EQ(cold.value(), rerun.value());
-  std::remove(path.c_str());
-}
-
-TEST(WarmStartTest, CorruptSnapshotFallsBackToRetraining) {
-  const TransferPair pair = MakePair(93);
-  const std::string path = TempPath("warmstart_corrupt.tera");
-  std::remove(path.c_str());
-  TransER transer;
-  TransferRunOptions options;
-  options.seed = 11;
-
-  // Reference run with no snapshotting at all.
-  auto reference = transer.Run(pair.source, pair.target.WithoutLabels(),
-                               LrFactory(), options);
-  ASSERT_TRUE(reference.ok());
-
-  // Cold run writes the snapshot; then a byte of it rots.
-  options.model_snapshot_path = path;
-  TransERReport cold_report;
-  ASSERT_TRUE(transer
-                  .RunWithReport(pair.source, pair.target.WithoutLabels(),
-                                 LrFactory(), options, &cold_report)
-                  .ok());
+  EXPECT_FALSE(
+      report.diagnostics.HasKind(DegradationKind::kModelArtifactRejected));
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(fault::ReadFileBytes(path, &bytes).ok());
-  ASSERT_TRUE(fault::FlipFileByte(path, bytes.size() / 2).ok());
+  EXPECT_EQ(bytes, fresh_bytes);
+  std::remove(fresh.c_str());
+  std::remove(path.c_str());
+}
 
+INSTANTIATE_TEST_SUITE_P(
+    PathContents, ArtifactNeverReadTest,
+    ::testing::Values(PriorArtifact::kNothing,
+                      PriorArtifact::kCompleteRandomForest,
+                      PriorArtifact::kWithoutCv, PriorArtifact::kFlippedByte,
+                      PriorArtifact::kForeignSchema),
+    PriorArtifactName);
+
+TEST(ArtifactSaveTest, FailedSaveIsReportedOnceAndKeepsPredictions) {
+  const TransferPair pair = MakePair(95);
+  const FeatureMatrix target = pair.target.WithoutLabels();
+  const TransER transer;
+  TransferRunOptions options;
+  options.seed = 7;
+  auto reference = transer.Run(pair.source, target, LrFactory(), options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  options.model_snapshot_path =
+      TempPath("model_store_test_missing_dir/model.tera");
+  RunDiagnostics sink;
+  options.diagnostics = &sink;
   TransERReport report;
-  auto recovered = transer.RunWithReport(pair.source,
-                                         pair.target.WithoutLabels(),
-                                         LrFactory(), options, &report);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_FALSE(report.warm_started);
-  EXPECT_TRUE(
-      report.diagnostics.HasKind(DegradationKind::kModelArtifactRejected));
-  EXPECT_EQ(reference.value(), recovered.value());
+  auto run =
+      transer.RunWithReport(pair.source, target, LrFactory(), options, &report);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run.value(), reference.value());
+  EXPECT_EQ(report.diagnostics.CountKind(DegradationKind::kModelSaveFailed),
+            1u);
+  EXPECT_EQ(sink.CountKind(DegradationKind::kModelSaveFailed), 1u);
+}
+
+TEST(ArtifactSaveTest, FailedRunLeavesThePathAsItWas) {
+  const TransferPair pair = MakePair(96);
+  const std::string path = TempPath("failed_run.tera");
+  const std::vector<uint8_t> prior = {'n', 'o', 't', ' ', 'a', 'n', ' ',
+                                      'a', 'r', 't', 'i', 'f', 'a', 'c',
+                                      't'};
+  ASSERT_TRUE(fault::WriteFileBytes(path, prior).ok());
+
+  // Cancelled as TCL begins, after SEL and GEN have finished.
+  CancellationToken token;
+  const ExecutionContext context({}, &token, [&](const ProgressEvent& event) {
+    if (event.stage == "tcl") token.Cancel();
+  });
+  TransferRunOptions options;
+  options.seed = 7;
+  options.context = &context;
+  options.model_snapshot_path = path;
+  auto run = TransER().Run(pair.source, pair.target.WithoutLabels(),
+                           LrFactory(), options);
+  ASSERT_FALSE(run.ok());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(fault::ReadFileBytes(path, &bytes).ok());
+  EXPECT_EQ(bytes, prior);
   std::remove(path.c_str());
 }
 

@@ -120,8 +120,8 @@ TEST(ServerCoreTest, ResolveIsBitIdenticalToColdRun) {
   ASSERT_EQ(response.outcome, ServeOutcome::kOk) << response.error;
   EXPECT_EQ(response.model_id, "snap.tera");
   EXPECT_FALSE(response.selected_by_probe);
-  // The acceptance bar: serving the warm-start artifact reproduces the
-  // cold pipeline's predictions bit for bit.
+  // The acceptance bar: serving the saved artifact reproduces the
+  // predictions of the run that wrote it, bit for bit.
   EXPECT_EQ(response.labels, cold);
   ASSERT_EQ(response.confidences.size(), cold.size());
   for (size_t i = 0; i < cold.size(); ++i) {
