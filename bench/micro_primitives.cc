@@ -28,10 +28,13 @@
 // references — a fast harness measuring wrong numbers is worthless.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -45,6 +48,7 @@
 #include "text/edit_distance.h"
 #include "text/jaro_winkler.h"
 #include "text/set_similarity.h"
+#include "text/tokenize.h"
 #include "util/execution_context.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -118,6 +122,91 @@ size_t NaiveLevenshtein(std::string_view a, std::string_view b) {
     std::swap(prev, cur);
   }
   return prev[b.size()];
+}
+
+// The Jaro kernel before its match flags moved into 64-bit words: flags
+// in thread-local byte vectors, both byte sets rebuilt on every call.
+thread_local std::vector<uint8_t> tls_matched_a;
+thread_local std::vector<uint8_t> tls_matched_b;
+
+std::array<uint64_t, 4> ByteVectorByteSet(std::string_view s) {
+  std::array<uint64_t, 4> set{};
+  for (const char c : s) {
+    const auto byte = static_cast<unsigned char>(c);
+    set[byte >> 6] |= uint64_t{1} << (byte & 63);
+  }
+  return set;
+}
+
+double ByteVectorJaro(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  if (a == b) return 1.0;
+  const std::array<uint64_t, 4> set_a = ByteVectorByteSet(a);
+  const std::array<uint64_t, 4> set_b = ByteVectorByteSet(b);
+  if (((set_a[0] & set_b[0]) | (set_a[1] & set_b[1]) |
+       (set_a[2] & set_b[2]) | (set_a[3] & set_b[3])) == 0) {
+    return 0.0;
+  }
+  const size_t len_a = a.size();
+  const size_t len_b = b.size();
+  const size_t max_len = std::max(len_a, len_b);
+  const size_t window = max_len / 2 == 0 ? 0 : max_len / 2 - 1;
+  std::vector<uint8_t>& matched_a = tls_matched_a;
+  std::vector<uint8_t>& matched_b = tls_matched_b;
+  matched_a.assign(len_a, 0);
+  matched_b.assign(len_b, 0);
+  size_t matches = 0;
+  for (size_t i = 0; i < len_a; ++i) {
+    const size_t lo = i > window ? i - window : 0;
+    const size_t hi = std::min(len_b, i + window + 1);
+    for (size_t j = lo; j < hi; ++j) {
+      if (matched_b[j] != 0 || a[i] != b[j]) continue;
+      matched_a[i] = 1;
+      matched_b[j] = 1;
+      ++matches;
+      break;
+    }
+  }
+  if (matches == 0) return 0.0;
+  size_t transpositions = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < len_a; ++i) {
+    if (matched_a[i] == 0) continue;
+    while (matched_b[j] == 0) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  const double m = static_cast<double>(matches);
+  const double t = static_cast<double>(transpositions / 2);
+  return (m / static_cast<double>(len_a) + m / static_cast<double>(len_b) +
+          (m - t) / m) /
+         3.0;
+}
+
+double ByteVectorJaroWinkler(std::string_view a, std::string_view b) {
+  const double jaro = ByteVectorJaro(a, b);
+  size_t prefix = 0;
+  const size_t limit = std::min({a.size(), b.size(), size_t{4}});
+  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
+}
+
+// One direction of Monge-Elkan: the two-scan symmetric score ran it
+// both ways, scoring every token pair twice.
+double OneDirectionMongeElkan(std::span<const std::string_view> a,
+                              std::span<const std::string_view> b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  double total = 0.0;
+  for (std::string_view ta : a) {
+    double best = 0.0;
+    for (std::string_view tb : b) {
+      best = std::max(best, ByteVectorJaroWinkler(ta, tb));
+    }
+    total += best;
+  }
+  return total / static_cast<double>(a.size());
 }
 
 // ---------------------------------------------------------------------
@@ -353,6 +442,19 @@ int Main(int argc, char** argv) {
   harness.Run("sim.qgram_jaccard", 1, [&] {
     bench::DoNotOptimize(QGramJaccardSimilarity(qg_a, qg_b));
   });
+  // An authors-like pair of three tokens each.
+  const std::string me_a = "margaret e thompson";
+  const std::string me_b = "thomson margret e";
+  const std::vector<std::string_view> me_tokens_a = WordViews(me_a);
+  const std::vector<std::string_view> me_tokens_b = WordViews(me_b);
+  const double me_matrix = harness.Run("sim.monge_elkan", 1, [&] {
+    bench::DoNotOptimize(SymmetricMongeElkan(me_tokens_a, me_tokens_b));
+  });
+  const double me_two_scan = harness.Run("sim.monge_elkan.two_scan", 1, [&] {
+    bench::DoNotOptimize(
+        std::max(OneDirectionMongeElkan(me_tokens_a, me_tokens_b),
+                 OneDirectionMongeElkan(me_tokens_b, me_tokens_a)));
+  });
 
   // --- solver: one dense logistic-regression fit ---
   // Fixed workload (n=256, m=16) so a regression in the per-fit cost of
@@ -384,6 +486,7 @@ int Main(int argc, char** argv) {
   harness.Extra("knn_batch_speedup_vs_1_thread",
                 bench::ThreadScalingSpeedup(batch_1t, batch_nt, lanes));
   harness.Extra("levenshtein_speedup_vs_naive", lev_naive / lev_banded);
+  harness.Extra("monge_elkan_speedup_vs_two_scan", me_two_scan / me_matrix);
 
   // The build identity, not a measurement: perf_compare refuses to diff
   // sidecars timed on different kernel branches.

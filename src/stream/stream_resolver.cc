@@ -161,11 +161,10 @@ Status StreamResolver::ApplyRecord(const Record& record,
   TRANSER_RETURN_IF_ERROR(knn_.Insert(embedder_.EmbedFields(record.values)));
   const std::vector<size_t> candidates =
       blocking_.InsertAndCollect(index, record);
-  const PreparedRecords arriving = comparator_.Prepare(record);
+  PreparedRecords arriving = comparator_.Prepare(record);
   std::vector<double> features(comparator_.num_features());
   for (size_t candidate : candidates) {
-    const PreparedRecords stored = comparator_.Prepare(records_[candidate]);
-    comparator_.CompareInto(stored[0], arriving[0],
+    comparator_.CompareInto(prepared_[candidate][0], arriving[0],
                             std::span<double>(features));
     const double score = classifier_->PredictProba(features);
     const int label = score >= options_.match_threshold ? 1 : 0;
@@ -179,6 +178,7 @@ Status StreamResolver::ApplyRecord(const Record& record,
     }
   }
   records_.push_back(record);
+  prepared_.push_back(std::move(arriving));
   return Status::OK();
 }
 
@@ -453,15 +453,17 @@ Result<StreamResolver> StreamResolver::LoadSnapshot(
   artifact::Decoder classifier_in(classifier->payload);
   TRANSER_RETURN_IF_ERROR(resolver.classifier_->LoadState(&classifier_in));
 
-  // The blocking and k-NN indexes are not serialised: re-inserting the
-  // records in order rebuilds them bit-identically (inserts are
-  // deterministic in insert order, and the k-NN rebuild points are a
-  // pure function of the insert count).
+  // The blocking and k-NN indexes and the prepared records are not
+  // serialised: re-inserting the records in order rebuilds them
+  // bit-identically (inserts are deterministic in insert order, the k-NN
+  // rebuild points are a pure function of the insert count, and
+  // preparing a record reads only the record).
   for (size_t i = 0; i < resolver.records_.size(); ++i) {
     const Record& record = resolver.records_[i];
     TRANSER_RETURN_IF_ERROR(
         resolver.knn_.Insert(resolver.embedder_.EmbedFields(record.values)));
     resolver.blocking_.InsertAndCollect(i, record);
+    resolver.prepared_.push_back(resolver.comparator_.Prepare(record));
   }
   return resolver;
 }

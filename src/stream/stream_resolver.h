@@ -159,6 +159,10 @@ class StreamResolver {
   DynamicKnn knn_;
 
   std::vector<Record> records_;
+  /// records_[i] prepared for comparison, so an apply prepares only the
+  /// arriving record. Filled by apply and rebuilt by snapshot load; never
+  /// serialised.
+  std::vector<PreparedRecords> prepared_;
   std::vector<StreamMatch> matches_;
   std::vector<uint64_t> quarantined_;
 

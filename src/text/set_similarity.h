@@ -39,17 +39,15 @@ double QGramJaccardSimilarity(std::string_view a, std::string_view b,
 double QGramDiceSimilarity(std::string_view a, std::string_view b,
                            size_t q = 2);
 
-/// Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in
-/// `b`. Asymmetric; use SymmetricMongeElkan for a symmetric score.
-double MongeElkanSimilarity(std::span<const std::string_view> a,
-                            std::span<const std::string_view> b);
-
-/// max(ME(a,b), ME(b,a)) over the word tokens of `a` and `b` — symmetric
-/// hybrid token/char similarity used for multi-word names such as author
-/// lists.
+/// max(ME(a,b), ME(b,a)) over the word tokens of `a` and `b`, where the
+/// Monge-Elkan score ME(a,b) is the mean over tokens of `a` of the best
+/// Jaro-Winkler match in `b` — symmetric hybrid token/char similarity
+/// used for multi-word names such as author lists.
 double SymmetricMongeElkan(std::string_view a, std::string_view b);
 
 /// SymmetricMongeElkan() over already split word tokens, in text order.
+/// Scores each token pair once: the |a| x |b| Jaro-Winkler matrix's row
+/// maxima give ME(a,b) and its column maxima ME(b,a).
 double SymmetricMongeElkan(std::span<const std::string_view> a,
                            std::span<const std::string_view> b);
 

@@ -313,7 +313,7 @@ TEST(StreamResolverTest, SnapshotRoundTripsAndContinuesIdentically) {
   const std::string path = dir + "/state.tera";
 
   StreamResolver original = MakeResolver(FastResolverOptions());
-  ApplyRange(&original, 1, 25);
+  ApplyRange(&original, 1, 100);
   ASSERT_TRUE(original.SaveSnapshot(path).ok());
 
   auto loaded = StreamResolver::LoadSnapshot(path, FastResolverOptions());
@@ -322,11 +322,19 @@ TEST(StreamResolverTest, SnapshotRoundTripsAndContinuesIdentically) {
   EXPECT_EQ(restored.StateDigest(), original.StateDigest());
 
   // The restored state is not a dead end: both copies evolve in
-  // lockstep past rebuild, refresh and match boundaries.
-  ApplyRange(&original, 26, 45);
-  ApplyRange(&restored, 26, 45);
+  // lockstep past rebuild, refresh and match boundaries. Each compares
+  // against its own store of prepared records, rebuilt on load and grown
+  // (reallocated several times) on apply.
+  ApplyRange(&original, 101, 300);
+  ApplyRange(&restored, 101, 300);
   EXPECT_EQ(restored.StateDigest(), original.StateDigest());
-  EXPECT_EQ(restored.matches().size(), original.matches().size());
+  ASSERT_EQ(restored.matches().size(), original.matches().size());
+  EXPECT_GT(original.matches().size(), 0u);
+  for (size_t m = 0; m < original.matches().size(); ++m) {
+    EXPECT_EQ(restored.matches()[m].left, original.matches()[m].left);
+    EXPECT_EQ(restored.matches()[m].right, original.matches()[m].right);
+    EXPECT_EQ(restored.matches()[m].score, original.matches()[m].score);
+  }
 }
 
 TEST(StreamResolverTest, SnapshotRejectsMismatchedOptions) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "text/edit_distance.h"
@@ -50,6 +55,15 @@ std::vector<std::string> AssortedByteStrings(size_t count, uint64_t seed) {
     out.push_back(value);
   }
   return out;
+}
+
+// A random word of up to `max_len` letters from the first `alphabet`.
+std::string RandomWord(Rng* rng, size_t max_len, int alphabet) {
+  std::string s(rng->NextUint64Below(max_len + 1), 'a');
+  for (char& c : s) {
+    c = static_cast<char>('a' + rng->NextUint64Below(alphabet));
+  }
+  return s;
 }
 
 // The two-pass normaliser the single-pass NormalizeInto replaced.
@@ -222,7 +236,8 @@ class JaroPropertyTest
 TEST_P(JaroPropertyTest, SymmetricBoundedAndWinklerDominates) {
   const auto [a, b] = GetParam();
   const double ab = JaroSimilarity(a, b);
-  EXPECT_NEAR(ab, JaroSimilarity(b, a), 1e-12);
+  const double ba = JaroSimilarity(b, a);
+  EXPECT_EQ(std::memcmp(&ab, &ba, sizeof(double)), 0) << ab << " vs " << ba;
   EXPECT_GE(ab, 0.0);
   EXPECT_LE(ab, 1.0);
   EXPECT_GE(JaroWinklerSimilarity(a, b), ab - 1e-12);
@@ -282,6 +297,250 @@ double StringTokenMongeElkan(const std::vector<std::string>& a,
     total += best;
   }
   return total / static_cast<double>(a.size());
+}
+
+// The Jaro kernel before the bit-flag rewrite, kept verbatim as the
+// oracle of today's kernel: match flags in thread-local byte vectors and
+// both byte sets rebuilt on every call.
+thread_local std::vector<uint8_t> tls_matched_a;
+thread_local std::vector<uint8_t> tls_matched_b;
+
+std::array<uint64_t, 4> ReferenceByteSet(std::string_view s) {
+  std::array<uint64_t, 4> set{};
+  for (const char c : s) {
+    const auto byte = static_cast<unsigned char>(c);
+    set[byte >> 6] |= uint64_t{1} << (byte & 63);
+  }
+  return set;
+}
+
+double ReferenceJaro(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  // Identical strings match completely with no transpositions; the
+  // general path below evaluates to (1 + 1 + 1) / 3 exactly.
+  if (a == b) return 1.0;
+  // Disjoint byte sets mean zero matches regardless of the window —
+  // exactly the matches == 0 exit below.
+  const std::array<uint64_t, 4> set_a = ReferenceByteSet(a);
+  const std::array<uint64_t, 4> set_b = ReferenceByteSet(b);
+  if (((set_a[0] & set_b[0]) | (set_a[1] & set_b[1]) |
+       (set_a[2] & set_b[2]) | (set_a[3] & set_b[3])) == 0) {
+    return 0.0;
+  }
+
+  const size_t len_a = a.size();
+  const size_t len_b = b.size();
+  const size_t max_len = std::max(len_a, len_b);
+  // Matching window per the Jaro definition.
+  const size_t window = max_len / 2 == 0 ? 0 : max_len / 2 - 1;
+
+  std::vector<uint8_t>& matched_a = tls_matched_a;
+  std::vector<uint8_t>& matched_b = tls_matched_b;
+  matched_a.assign(len_a, 0);
+  matched_b.assign(len_b, 0);
+
+  size_t matches = 0;
+  for (size_t i = 0; i < len_a; ++i) {
+    const size_t lo = i > window ? i - window : 0;
+    const size_t hi = std::min(len_b, i + window + 1);
+    for (size_t j = lo; j < hi; ++j) {
+      if (matched_b[j] != 0 || a[i] != b[j]) continue;
+      matched_a[i] = 1;
+      matched_b[j] = 1;
+      ++matches;
+      break;
+    }
+  }
+  if (matches == 0) return 0.0;
+
+  // Count transpositions between the matched subsequences.
+  size_t transpositions = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < len_a; ++i) {
+    if (matched_a[i] == 0) continue;
+    while (matched_b[j] == 0) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+
+  const double m = static_cast<double>(matches);
+  const double t = static_cast<double>(transpositions / 2);
+  return (m / static_cast<double>(len_a) + m / static_cast<double>(len_b) +
+          (m - t) / m) /
+         3.0;
+}
+
+double ReferenceJaroWinkler(std::string_view a, std::string_view b,
+                            double prefix_weight = 0.1, int max_prefix = 4) {
+  const double jaro = ReferenceJaro(a, b);
+  size_t prefix = 0;
+  const size_t limit =
+      std::min({a.size(), b.size(), static_cast<size_t>(max_prefix)});
+  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+  return jaro + static_cast<double>(prefix) * prefix_weight * (1.0 - jaro);
+}
+
+// The one-direction Monge-Elkan the one-matrix SymmetricMongeElkan
+// replaced, verbatim over the reference kernel: every token pair is
+// scored in each direction.
+double ReferenceMongeElkan(std::span<const std::string_view> a,
+                           std::span<const std::string_view> b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  double total = 0.0;
+  for (std::string_view ta : a) {
+    double best = 0.0;
+    for (std::string_view tb : b) {
+      best = std::max(best, ReferenceJaroWinkler(ta, tb));
+    }
+    total += best;
+  }
+  return total / static_cast<double>(a.size());
+}
+
+bool SameDouble(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Values for the oracle: the assorted byte strings, tokens at and around
+// the 64-byte flag word, and bytes >= 0x80 in every position.
+std::vector<std::string> OracleValues() {
+  std::vector<std::string> values = AssortedByteStrings(150, 13);
+  Rng rng(17);
+  for (size_t length : {63u, 64u, 65u, 130u}) {
+    for (int copy = 0; copy < 3; ++copy) {
+      values.push_back(RandomWord(&rng, length, 3));
+      values.back().resize(length, 'a');
+    }
+  }
+  for (const char* high : {"\x80", "\xff\xfe\x80", "caf\xc3\xa9",
+                           "\xc3\xa9" "caf", "na\xc3\xafve caf\xc3\xa9",
+                           "\xe6\x97\xa5\xe6\x9c\xac \xff"}) {
+    values.push_back(high);
+  }
+  return values;
+}
+
+TEST(JaroOracleTest, KernelMatchesTheThreadLocalFlagKernelBitForBit) {
+  const std::vector<std::string> values = OracleValues();
+  for (const std::string& a : values) {
+    for (const std::string& b : values) {
+      ASSERT_TRUE(SameDouble(JaroSimilarity(a, b), ReferenceJaro(a, b)))
+          << "'" << a << "' vs '" << b << "'";
+      ASSERT_TRUE(SameDouble(JaroWinklerSimilarity(a, b),
+                             ReferenceJaroWinkler(a, b)))
+          << "'" << a << "' vs '" << b << "'";
+      ASSERT_TRUE(SameDouble(JaroWinklerSimilarity(a, b, 0.2, 5),
+                             ReferenceJaroWinkler(a, b, 0.2, 5)))
+          << "'" << a << "' vs '" << b << "'";
+      ASSERT_TRUE(SameDouble(
+          JaroWinklerSimilarity(a, b, ByteSetOf(a), ByteSetOf(b)),
+          ReferenceJaroWinkler(a, b)))
+          << "'" << a << "' vs '" << b << "'";
+    }
+  }
+}
+
+TEST(JaroOracleTest, OneMatrixMongeElkanMatchesTwoScansBitForBit) {
+  std::vector<std::string> values = OracleValues();
+  for (const char* words : {"peter christen", "christen peter",
+                            "maria garcia lopez", "garcia maria lopes",
+                            "a b a b c", "the the the"}) {
+    values.push_back(words);
+  }
+  // Multi-word values whose tokens straddle the 64-byte flag word.
+  Rng rng(19);
+  for (int value = 0; value < 12; ++value) {
+    std::string text;
+    for (size_t length : {2u, 63u, 64u, 65u, 130u}) {
+      if (rng.NextUint64Below(2) == 0) continue;
+      if (!text.empty()) text += ' ';
+      std::string token = RandomWord(&rng, length, 4);
+      token.resize(length, 'b');
+      text += token;
+    }
+    values.push_back(text);
+  }
+  // 40 tokens: past the inline column store.
+  std::string many;
+  for (int token = 0; token < 40; ++token) {
+    if (token > 0) many += ' ';
+    many += RandomWord(&rng, 6, 5);
+    many += 'x';
+  }
+  values.push_back(many);
+  for (const std::string& a : values) {
+    const std::vector<std::string_view> ta = WordViews(a);
+    for (const std::string& b : values) {
+      const std::vector<std::string_view> tb = WordViews(b);
+      const double expected =
+          std::max(ReferenceMongeElkan(ta, tb), ReferenceMongeElkan(tb, ta));
+      ASSERT_TRUE(SameDouble(SymmetricMongeElkan(ta, tb), expected))
+          << "'" << a << "' vs '" << b << "'";
+      ASSERT_TRUE(SameDouble(SymmetricMongeElkan(a, b), expected))
+          << "'" << a << "' vs '" << b << "'";
+    }
+  }
+}
+
+// Every string over `alphabet` letters of length up to `max_length`.
+std::vector<std::string> AllStrings(int alphabet, size_t max_length) {
+  std::vector<std::string> out = {""};
+  for (size_t begin = 0; out.back().size() < max_length;) {
+    const size_t end = out.size();
+    for (size_t s = begin; s < end; ++s) {
+      for (int c = 0; c < alphabet; ++c) {
+        out.push_back(out[s] + static_cast<char>('a' + c));
+      }
+    }
+    begin = end;
+  }
+  return out;
+}
+
+// The one-matrix Monge-Elkan reads JW(a, b) for JW(b, a): bit-for-bit
+// symmetry of the kernel is what makes it exact.
+TEST(JaroSymmetryTest, SymmetricBitForBitOnEveryShortString) {
+  size_t pairs = 0;
+  const std::pair<int, size_t> kSpaces[] = {{2, 10}, {3, 7}, {4, 5}};
+  for (const auto& [alphabet, max_length] : kSpaces) {
+    const std::vector<std::string> strings = AllStrings(alphabet, max_length);
+    for (size_t x = 0; x < strings.size(); ++x) {
+      const std::string& a = strings[x];
+      const ByteSet set_a = ByteSetOf(a);
+      for (size_t y = x + 1; y < strings.size(); ++y) {
+        const std::string& b = strings[y];
+        const ByteSet set_b = ByteSetOf(b);
+        ASSERT_TRUE(SameDouble(JaroSimilarity(a, b, set_a, set_b),
+                               JaroSimilarity(b, a, set_b, set_a)))
+            << "'" << a << "' vs '" << b << "'";
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, size_t{8'402'571});
+}
+
+TEST(JaroSymmetryTest, SymmetricBitForBitAcrossFlagWords) {
+  Rng rng(23);
+  const std::pair<size_t, size_t> kLengths[] = {{60, 70}, {120, 140}};
+  for (const auto& [lo, hi] : kLengths) {
+    for (int trial = 0; trial < 2000; ++trial) {
+      const int alphabet = 2 + trial % 5;
+      std::string a = RandomWord(&rng, hi, alphabet);
+      std::string b = RandomWord(&rng, hi, alphabet);
+      a.resize(lo + rng.NextUint64Below(hi - lo + 1), 'a');
+      b.resize(lo + rng.NextUint64Below(hi - lo + 1), 'b');
+      const double ab = JaroSimilarity(a, b);
+      const double ba = JaroSimilarity(b, a);
+      ASSERT_TRUE(SameDouble(ab, ba)) << "'" << a << "' vs '" << b << "'";
+      ASSERT_TRUE(SameDouble(ab, ReferenceJaro(a, b)))
+          << "'" << a << "' vs '" << b << "'";
+      ASSERT_TRUE(SameDouble(JaroWinklerSimilarity(a, b),
+                             JaroWinklerSimilarity(b, a)));
+    }
+  }
 }
 
 TEST(SetSimilarityTest, WordFunctionsMatchStringTokenReference) {
@@ -410,14 +669,6 @@ size_t NaiveLevenshtein(std::string_view a, std::string_view b) {
     }
   }
   return dp[a.size()][b.size()];
-}
-
-std::string RandomWord(Rng* rng, size_t max_len, int alphabet) {
-  std::string s(rng->NextUint64Below(max_len + 1), 'a');
-  for (char& c : s) {
-    c = static_cast<char>('a' + rng->NextUint64Below(alphabet));
-  }
-  return s;
 }
 
 TEST(EditDistanceTest, BandedMatchesNaiveExhaustively) {
